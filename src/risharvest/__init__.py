@@ -25,14 +25,12 @@ from .scenario import (
 )
 from .geometry import (
     ElementGrid,
-    LinkGeometry,
     center_distances,
     departure_angle,
     element_distances,
     element_grid,
     element_offsets,
     incidence_angle,
-    link_geometry,
 )
 from .link import (
     LinkReport,
@@ -63,9 +61,8 @@ __all__ = [
     "ConfigError", "PowerModel", "Scenario", "default_scenario", "load_scenario",
     "noise_power_w", "parabolic_gain", "ris_power_consumption", "save_scenario",
     "apply_overrides", "build_scenario", "parse_config_text", "scenario_to_text",
-    "ElementGrid", "LinkGeometry", "center_distances", "departure_angle",
+    "ElementGrid", "center_distances", "departure_angle",
     "element_distances", "element_grid", "element_offsets", "incidence_angle",
-    "link_geometry",
     "LinkReport", "ReflectionState", "absorbed_power_element", "harvested_power",
     "link_report", "snr_cophased", "snr_explicit",
     "PlacementSolution", "SearchConfig", "SiteCandidate", "SiteSelection",

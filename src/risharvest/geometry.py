@@ -34,17 +34,6 @@ class ElementGrid:
         return self.d_p.shape
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Center distances and angles for one placement."""
-
-    r1h_m: float         # horizontal TX-to-surface distance (placement variable)
-    r1_m: float          # TX to surface center
-    r2_m: float          # surface center to RX
-    theta_i_rad: float   # incidence angle, measured from the surface normal
-    theta_r_rad: float   # departure angle
-
-
 def element_offsets(m_x: int, m_y: int, d_x_m: float, d_y_m: float) -> ElementGrid:
     """Centered offset grid for an m_x-by-m_y surface.
 
@@ -118,20 +107,8 @@ def departure_angle(r1h_m, scenario: Scenario):
     return float(theta) if np.isscalar(r1h_m) else theta
 
 
-def link_geometry(r1h_m: float, scenario: Scenario) -> LinkGeometry:
-    """Bundle center distances and angles for one placement."""
-    r1, r2 = center_distances(r1h_m, scenario)
-    return LinkGeometry(
-        r1h_m=float(r1h_m),
-        r1_m=r1,
-        r2_m=r2,
-        theta_i_rad=incidence_angle(r1h_m, scenario),
-        theta_r_rad=departure_angle(r1h_m, scenario),
-    )
-
-
 __all__ = [
-    "ElementGrid", "LinkGeometry",
+    "ElementGrid",
     "element_offsets", "element_grid", "center_distances", "element_distances",
-    "incidence_angle", "departure_angle", "link_geometry",
+    "incidence_angle", "departure_angle",
 ]

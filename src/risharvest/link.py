@@ -84,16 +84,20 @@ def _check_shape(array_shape, scenario: Scenario, what: str):
         raise ValueError(f"{what} shape {tuple(array_shape)} does not match surface {expected}")
 
 
-def snr_explicit(r1h_m: float, reflection: ReflectionState, scenario: Scenario) -> float:
+def snr_explicit(r1h_m: float, reflection: ReflectionState, scenario: Scenario):
     """Received SNR with the explicit per-element complex sum.
 
     snr = (lambda/4pi)^4 * P_t G_t G_r G_s(th_i) G_s(th_r) / (r1^2 r2^2 sigma^2)
           * |sum_pl A_pl exp(-j(phi_pl + 2pi(r1pl + r2pl)/lambda))|^2
 
-    The reduction uses numpy's pairwise summation in a fixed order (single
-    partition), so results are reproducible bit-for-bit.
+    Reflection arrays of shape (..., rows, cols) hold a batch of profiles;
+    only the trailing two axes must match the surface. Geometry, constant and
+    propagation phase are computed once per call and the sum runs over the
+    last two axes. Returns a float for one (rows, cols) profile, else an
+    array of shape (...). The reduction is numpy's pairwise summation in a
+    fixed order, so results are reproducible bit-for-bit, batched or not.
     """
-    _check_shape(reflection.shape, scenario, "reflection state")
+    _check_shape(reflection.shape[-2:], scenario, "reflection state")
     lam = scenario.wavelength_m
     r1, r2 = geometry.center_distances(r1h_m, scenario)
     th_i = geometry.incidence_angle(r1h_m, scenario)
@@ -106,8 +110,9 @@ def snr_explicit(r1h_m: float, reflection: ReflectionState, scenario: Scenario) 
     )
     psi = path_phase_rad(r1h_m, geometry.element_grid(scenario), scenario)
     terms = reflection.amplitudes * np.exp(-1j * (reflection.phases + psi))
-    total = np.sum(terms)
-    return float(const * (total.real ** 2 + total.imag ** 2))
+    total = np.sum(terms, axis=(-2, -1))
+    snr = const * (total.real ** 2 + total.imag ** 2)
+    return float(snr) if terms.ndim == 2 else snr
 
 
 def snr_cophased(r1h_m: float, uniform_a: float, scenario: Scenario) -> float:

@@ -8,7 +8,6 @@ validate command. Not a production solver.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,10 @@ from .scenario import Scenario
 # tractability guard for the exhaustive phase enumeration
 _MAX_ELEMENTS = 9
 _MAX_PROFILES = 10 ** 8
+# profiles scored per batched snr_explicit call; bounds the search's memory
+_CHUNK_PROFILES = 4096
+# size guard for the (r1h, A) lattice of brute_force_solve
+_MAX_LATTICE_POINTS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,15 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
     be scored at once. The lattice amplitude whose harvest lands nearest the
     required consumption is kept (columns whose ceiling cannot cover the
     consumption are dropped), and the kept point with maximal co-phased SNR
-    wins; exact ties go to the lowest r1h.
+    wins; exact ties go to the lowest r1h. Steps must be positive and finite,
+    and lattices above _MAX_LATTICE_POINTS points are refused before anything
+    is allocated.
     """
-    if r1h_step_m <= 0 or a_step <= 0:
-        raise ValueError("lattice steps must be positive")
+    if not (0.0 < r1h_step_m < math.inf and 0.0 < a_step < math.inf):
+        raise ValueError("lattice steps must be positive and finite")
+    n_points = (scenario.txrx_horizontal_m / r1h_step_m + 1.0) / a_step
+    if n_points > _MAX_LATTICE_POINTS:
+        raise ValueError(f"lattice of {n_points:.3g} points exceeds the guard of {_MAX_LATTICE_POINTS:.0e}")
     p_ris = scenario.p_ris_w
     shape = (scenario.ris_rows, scenario.ris_cols)
     zeros = np.zeros(shape)
@@ -95,10 +103,15 @@ def exhaustive_phase_search(
 ):
     """Enumerate every quantized phase profile and return the best.
 
-    Levels are 2*pi*k/phase_levels for k = 0..phase_levels-1. Each profile is
-    scored through link.snr_explicit at the given placement and uniform
-    amplitude. Only tractable on tiny surfaces; guarded to at most 9 elements
-    and 1e8 profiles. Returns (best_phases, best_snr_linear).
+    Levels are 2*pi*k/phase_levels for k = 0..phase_levels-1. The SNR is
+    invariant to a global phase shift, so element 0 is held at level 0 and
+    only the other M_s - 1 elements are enumerated: phase_levels ** (M_s - 1)
+    profiles, in itertools.product order. Each chunk of at most
+    _CHUNK_PROFILES profiles is built from an integer range and scored in one
+    batched link.snr_explicit call at the given placement and uniform
+    amplitude, so memory does not grow with the profile count. The first best
+    profile wins. Only tractable on tiny surfaces; guarded to at most 9
+    elements and 1e8 unreduced profiles. Returns (best_phases, best_snr_linear).
     """
     m_s = scenario.m_s
     if m_s > _MAX_ELEMENTS:
@@ -109,18 +122,24 @@ def exhaustive_phase_search(
         raise ValueError("phase_levels ** m_s exceeds the tractability guard")
 
     shape = (scenario.ris_rows, scenario.ris_cols)
-    amplitudes = np.full(shape, float(uniform_a))
     level_values = 2.0 * math.pi * np.arange(phase_levels) / phase_levels
+    # place value of each free element's level digit, most significant first
+    place = phase_levels ** np.arange(m_s - 2, -1, -1)
+    n_profiles = phase_levels ** (m_s - 1)
 
     best_snr = -math.inf
-    best_combo = None
-    for combo in itertools.product(range(phase_levels), repeat=m_s):
-        phases = level_values[list(combo)].reshape(shape)
+    best_phases = None
+    for start in range(0, n_profiles, _CHUNK_PROFILES):
+        index = np.arange(start, min(start + _CHUNK_PROFILES, n_profiles))
+        digits = np.zeros((index.size, m_s), dtype=np.int64)
+        digits[:, 1:] = index[:, None] // place % phase_levels
+        phases = level_values[digits].reshape((index.size,) + shape)
+        amplitudes = np.broadcast_to(float(uniform_a), phases.shape)
         snr = link.snr_explicit(r1h_m, link.ReflectionState(amplitudes, phases), scenario)
-        if snr > best_snr:
-            best_snr = snr
-            best_combo = combo
-    best_phases = level_values[list(best_combo)].reshape(shape)
+        k = int(np.argmax(snr))
+        if snr[k] > best_snr:
+            best_snr = float(snr[k])
+            best_phases = phases[k]
     return best_phases, best_snr
 
 

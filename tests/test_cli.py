@@ -224,6 +224,17 @@ def test_validate_loose_grid_fails_classified(default_config_path, capsys):
     assert "FAIL: placement delta exceeds tolerance" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--a-step", "1e-12"), ("--r1h-step", "1e-9"), ("--a-step", "nan"), ("--r1h-step", "inf"),
+])
+def test_validate_unbounded_lattice_rejected(default_config_path, capsys, flag, value):
+    # every value here is refused before the lattice is allocated
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), flag, value)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: lattice")
+    assert "verdict" not in out
+
+
 # ---------------------------------------------------------------- select-site
 
 

@@ -18,7 +18,6 @@ from risharvest import (
     element_grid,
     element_offsets,
     incidence_angle,
-    link_geometry,
 )
 
 LAM = 299_792_458.0 / 28e9
@@ -191,12 +190,3 @@ def test_angle_monotonicity(scenario):
     assert np.all(np.diff(tr) < 0)
     assert np.all(ti >= 0) and np.all(ti < math.pi / 2)
     assert np.all(tr >= 0) and np.all(tr < math.pi / 2)
-
-
-def test_link_geometry_bundle(scenario):
-    lg = link_geometry(10.0, scenario)
-    r1, r2 = center_distances(10.0, scenario)
-    assert lg.r1h_m == 10.0
-    assert lg.r1_m == r1 and lg.r2_m == r2
-    assert lg.theta_i_rad == incidence_angle(10.0, scenario)
-    assert lg.theta_r_rad == departure_angle(10.0, scenario)

@@ -69,6 +69,29 @@ def test_shape_mismatch_rejected(scenario):
         snr_explicit(10.0, state, scenario)
 
 
+def test_batched_profiles_equal_scalar_calls(scenario, tiny_scenario):
+    # leading batch axes are scored in one call, entry by entry bitwise equal
+    rng = np.random.default_rng(5)
+    for sc in (tiny_scenario, scenario):
+        shape = (3, 2, sc.ris_rows, sc.ris_cols)
+        amps = rng.uniform(0, 1, size=shape)
+        phases = rng.uniform(-10, 10, size=shape)
+        batch = snr_explicit(10.0, ReflectionState(amps, phases), sc)
+        assert isinstance(batch, np.ndarray) and batch.shape == (3, 2)
+        for i in range(3):
+            for j in range(2):
+                single = snr_explicit(10.0, ReflectionState(amps[i, j], phases[i, j]), sc)
+                assert isinstance(single, float)
+                assert batch[i, j] == single
+
+
+def test_batched_wrong_trailing_shape_rejected(tiny_scenario):
+    for shape in ((5, 2, 3), (5, 3, 2), (4,), (2, 2, 1)):
+        state = ReflectionState(amplitudes=np.ones(shape), phases=np.zeros(shape))
+        with pytest.raises(ValueError, match="shape"):
+            snr_explicit(3.0, state, tiny_scenario)
+
+
 def test_cophased_sum_is_coherent(scenario):
     # path-cancelling phases collapse the sum to |M_s * A|^2
     for r1h, a in ((1.0, 1.0), (10.0, 0.5), (60.0, 0.9)):

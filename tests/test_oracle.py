@@ -1,6 +1,9 @@
 """Brute-force lattice/enumeration solvers and their agreement with closed forms."""
 
+import cmath
+import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +13,14 @@ from risharvest import (
     PowerModel,
     brute_force_solve,
     default_scenario,
+    element_grid,
     exhaustive_phase_search,
     snr_cophased,
     snr_explicit,
     solve_placement,
 )
-from risharvest.link import ReflectionState
+from risharvest import oracle
+from risharvest.link import ReflectionState, path_phase_rad
 from risharvest.oracle import _MAX_ELEMENTS
 
 
@@ -33,6 +38,21 @@ def test_bad_steps_rejected(scenario):
         brute_force_solve(scenario, r1h_step_m=0.0)
     with pytest.raises(ValueError):
         brute_force_solve(scenario, a_step=-0.1)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+def test_non_finite_steps_rejected(scenario, step):
+    with pytest.raises(ValueError, match="finite"):
+        brute_force_solve(scenario, r1h_step_m=step)
+    with pytest.raises(ValueError, match="finite"):
+        brute_force_solve(scenario, a_step=step)
+
+
+@pytest.mark.parametrize("r1h_step_m, a_step", [(0.5, 1e-12), (1e-9, 0.001), (5e-324, 1.0)])
+def test_oversized_lattice_rejected(scenario, r1h_step_m, a_step):
+    # refused before any lattice is allocated
+    with pytest.raises(ValueError, match="guard"):
+        brute_force_solve(scenario, r1h_step_m=r1h_step_m, a_step=a_step)
 
 
 def test_zero_draw_keeps_top_lattice_amplitude():
@@ -129,6 +149,72 @@ def test_2x2_16_levels_brackets_cophased(tiny_scenario):
     floor = math.cos(math.pi / 16) ** 2
     assert best <= ideal * (1 + 1e-9)
     assert best >= ideal * floor * (1 - 1e-9)
+
+
+def itertools_best_snr(sc, r1h, levels, a):
+    """Best SNR over every unreduced profile, scored one by one in plain Python."""
+    psi = path_phase_rad(r1h, element_grid(sc), sc)
+    const = snr_explicit(r1h, ReflectionState(np.ones(psi.shape), -psi), sc) / sc.m_s**2
+    level_values = [2 * math.pi * k / levels for k in range(levels)]
+    phasors = [[a * cmath.exp(-1j * (v + p)) for v in level_values] for p in psi.ravel()]
+    best = -math.inf
+    for combo in itertools.product(range(levels), repeat=sc.m_s):
+        total = sum(phasors[e][k] for e, k in enumerate(combo))
+        best = max(best, const * abs(total) ** 2)
+    return best
+
+
+@pytest.mark.parametrize("rows, cols, levels, chunk", [
+    (1, 1, 16, None), (2, 2, 1, None), (2, 2, 16, None), (2, 2, 16, 100),
+])
+def test_search_matches_itertools_loop(monkeypatch, rows, cols, levels, chunk):
+    if chunk is not None:  # 4,096 reduced profiles over 41 chunks, the last one partial
+        monkeypatch.setattr(oracle, "_CHUNK_PROFILES", chunk)
+    sc = default_scenario(ris_rows=rows, ris_cols=cols)
+    phases, best = exhaustive_phase_search(sc, 3.0, phase_levels=levels, uniform_a=0.8)
+    assert phases[0, 0] == 0.0
+    assert best == pytest.approx(itertools_best_snr(sc, 3.0, levels, 0.8), rel=1e-12)
+    assert snr_explicit(3.0, ReflectionState(np.full((rows, cols), 0.8), phases), sc) == best
+
+
+def test_search_enumerates_in_product_order_one_call_per_chunk(monkeypatch):
+    # 5**2 profiles with element 0 at level 0, in chunks of 7: calls of 7, 7, 7, 4
+    monkeypatch.setattr(oracle, "_CHUNK_PROFILES", 7)
+    scored = []
+
+    def recording_snr_explicit(r1h_m, reflection, scenario):
+        scored.append(reflection.phases.reshape(-1, 3))
+        return snr_explicit(r1h_m, reflection, scenario)
+
+    monkeypatch.setattr(oracle.link, "snr_explicit", recording_snr_explicit)
+    sc = default_scenario(ris_rows=1, ris_cols=3)
+    exhaustive_phase_search(sc, 3.0, phase_levels=5, uniform_a=0.8)
+    assert [len(chunk) for chunk in scored] == [7, 7, 7, 4]
+    expected = [(0, *combo) for combo in itertools.product(range(5), repeat=2)]
+    assert np.array_equal(np.concatenate(scored), 2 * math.pi * np.array(expected) / 5)
+
+
+def test_first_best_profile_wins_across_chunks(monkeypatch, tiny_scenario):
+    # at zero amplitude every profile ties, so the all-level-0 profile is kept
+    monkeypatch.setattr(oracle, "_CHUNK_PROFILES", 1)
+    phases, best = exhaustive_phase_search(tiny_scenario, 3.0, phase_levels=4, uniform_a=0.0)
+    assert np.all(phases == 0.0) and best == 0.0
+
+
+def test_3x3_6_levels_brackets_cophased():
+    # 6**8 reduced profiles; a list of all of them would take over 100 MB
+    sc = default_scenario(ris_rows=3, ris_cols=3)
+    tracemalloc.start()
+    try:
+        phases, best = exhaustive_phase_search(sc, 3.0, phase_levels=6, uniform_a=0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert phases[0, 0] == 0.0
+    ideal = snr_cophased(3.0, 0.8, sc)
+    assert best <= ideal * (1 + 1e-9)
+    assert best >= ideal * math.cos(math.pi / 6) ** 2 * (1 - 1e-9)
 
 
 def test_exhaustive_guards():
