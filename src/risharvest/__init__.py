@@ -8,6 +8,12 @@ subject to harvesting exactly the consumed power, plus brute-force oracles
 for validating the closed forms.
 """
 
+import os
+
+# No BLAS calls here: keep numpy's OpenBLAS from starting worker threads that
+# spin for ~0.1 s of CPU per process and make short runs' wall time jumpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .scenario import (
     ConfigError,
     PowerModel,

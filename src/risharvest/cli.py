@@ -22,9 +22,7 @@ from .link import snr_cophased
 from .scenario import (
     ConfigError,
     Scenario,
-    apply_overrides,
-    build_scenario,
-    parse_config_text,
+    load_scenario,
 )
 
 EXIT_OK = 0
@@ -79,16 +77,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _load_scenario(config_path: str, overrides) -> Scenario:
-    try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {config_path}: {exc}") from None
-    mapping = apply_overrides(parse_config_text(text), overrides or [])
-    return build_scenario(mapping)
-
-
 def _with_chip_power(scenario: Scenario, p_c_w: float) -> Scenario:
     return replace(scenario, power_model=replace(scenario.power_model, p_chip_w=p_c_w))
 
@@ -100,7 +88,7 @@ def _with_lateral_offset(scenario: Scenario, y_s_m: float) -> Scenario:
 # ---------------------------------------------------------------- solve
 
 def cmd_solve(args) -> int:
-    scenario = _load_scenario(args.config, args.override)
+    scenario = load_scenario(args.config, args.override)
     solution = optimizer.solve_placement(scenario)
     print(f"p_c_w = {_fmt(scenario.power_model.chip_power_w)}")
     print(f"y_s_m = {_fmt(scenario.lateral_offset_m)}")
@@ -170,7 +158,7 @@ def sweep_rows(scenario: Scenario, p_c_list, y_s_list, workers: int = 1):
 
 
 def cmd_sweep(args) -> int:
-    scenario = _load_scenario(args.config, args.override)
+    scenario = load_scenario(args.config, args.override)
     if args.pc_list:
         p_c_list = _parse_float_list(args.pc_list, "--pc-list")
     else:
@@ -199,7 +187,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- validate
 
 def cmd_validate(args) -> int:
-    scenario = _load_scenario(args.config, args.override)
+    scenario = load_scenario(args.config, args.override)
     analytic = optimizer.solve_placement(scenario)
     lattice = oracle.brute_force_solve(scenario, args.r1h_step, args.a_step)
     print(f"oracle_r1h_step_m = {_fmt(args.r1h_step)}")
@@ -293,7 +281,7 @@ def parse_sites_text(text: str):
 
 
 def cmd_select_site(args) -> int:
-    scenario = _load_scenario(args.config, args.override)
+    scenario = load_scenario(args.config, args.override)
     try:
         with open(args.sites, "r", encoding="utf-8") as fh:
             sites = parse_sites_text(fh.read())

@@ -269,14 +269,15 @@ def build_scenario(mapping: dict[str, str]) -> Scenario:
     return Scenario(power_model=PowerModel(**power_kwargs), **kwargs)
 
 
-def load_scenario(path) -> Scenario:
-    """Load and validate a scenario from a flat `key = value` config file."""
+def load_scenario(path, overrides=()) -> Scenario:
+    """Load and validate a scenario from a flat `key = value` config file,
+    with `KEY=VALUE` override strings applied on top."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return build_scenario(parse_config_text(text))
+    return build_scenario(apply_overrides(parse_config_text(text), overrides))
 
 
 def apply_overrides(mapping: dict[str, str], overrides) -> dict[str, str]:

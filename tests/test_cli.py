@@ -1,5 +1,6 @@
 """CLI behavior: output contracts, exit codes, determinism, error paths."""
 
+import os
 import subprocess
 import sys
 
@@ -307,3 +308,19 @@ def test_module_entrypoint_subprocess(default_config_path):
     )
     assert proc.returncode == EXIT_OK
     assert "feasible = true" in proc.stdout
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_keeps_blas_single_threaded_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, risharvest; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
