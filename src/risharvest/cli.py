@@ -1,8 +1,9 @@
 """Command-line front end: solve, sweep, validate, select-site.
 
-Exit status taxonomy: 0 feasible/pass, 2 infeasible, 3 configuration error,
-4 validation failure. All emitted numbers carry unit suffixes in their labels
-and CSV headers; output is deterministic byte-for-byte for identical inputs.
+Exit status taxonomy: 0 feasible/pass, 2 infeasible, 3 configuration or usage
+error, 4 validation failure. All emitted numbers carry unit suffixes in their
+labels and CSV headers; output is deterministic byte-for-byte for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -12,18 +13,14 @@ import csv
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import oracle, optimizer
 from .link import snr_cophased
-from .scenario import (
-    ConfigError,
-    Scenario,
-    load_scenario,
-)
+from .scenario import ConfigError, Scenario, key_value_lines, load_scenario
+from .scenario import format_value as _fmt
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -38,6 +35,7 @@ PHASE_LEVELS = 16
 # default sweep grids (the y_s values are artifact defaults, overridable)
 DEFAULT_YS_M = (5.0, 10.0, 20.0)
 DEFAULT_PC_LOG = (1e-8, 1e-4, 30)
+MAX_PC_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -57,24 +55,7 @@ class SweepRow:
               "snr_opt_db", "p_harv_w", "p_ris_w")
 
     def csv_cells(self):
-        cells = []
-        for name in self.FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, bool):
-                cells.append("true" if value else "false")
-            else:
-                cells.append(repr(float(value)))
-        return cells
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "none"
-    return repr(float(value))
+        return [_fmt(getattr(self, name), none="") for name in self.FIELDS]
 
 
 def _with_chip_power(scenario: Scenario, p_c_w: float) -> Scenario:
@@ -116,8 +97,7 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_point(task) -> SweepRow:
-    scenario, y_s, p_c = task
+def _sweep_point(scenario: Scenario, y_s: float, p_c: float) -> SweepRow:
     variant = _with_chip_power(_with_lateral_offset(scenario, y_s), p_c)
     sol = optimizer.solve_placement(variant)
     return SweepRow(
@@ -142,19 +122,13 @@ def _parse_float_list(text: str, flag: str):
     return values
 
 
-def sweep_rows(scenario: Scenario, p_c_list, y_s_list, workers: int = 1):
-    """All sweep rows ordered by (y_s, P_c) ascending, regardless of workers."""
-    tasks = [
-        (scenario, y_s, p_c)
+def sweep_rows(scenario: Scenario, p_c_list, y_s_list):
+    """All sweep rows ordered by (y_s, P_c) ascending."""
+    return [
+        _sweep_point(scenario, y_s, p_c)
         for y_s in sorted(y_s_list)
         for p_c in sorted(p_c_list)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks, chunksize=8))
-    else:
-        rows = [_sweep_point(task) for task in tasks]
-    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -163,12 +137,17 @@ def cmd_sweep(args) -> int:
         p_c_list = _parse_float_list(args.pc_list, "--pc-list")
     else:
         start, stop, count = args.pc_log if args.pc_log else DEFAULT_PC_LOG
+        # checked before np.logspace allocates anything
+        if not (math.isfinite(start) and math.isfinite(stop)
+                and float(count).is_integer() and count <= MAX_PC_POINTS):
+            raise ConfigError(f"--pc-log needs finite START/STOP and an integer N of at most "
+                              f"{MAX_PC_POINTS}")
         count = int(count)
         if start <= 0 or stop <= 0 or count < 1:
             raise ConfigError("--pc-log needs positive START/STOP and at least 1 point")
         p_c_list = [float(v) for v in np.logspace(math.log10(start), math.log10(stop), count)]
     y_s_list = _parse_float_list(args.ys_list, "--ys-list") if args.ys_list else list(DEFAULT_YS_M)
-    rows = sweep_rows(scenario, p_c_list, y_s_list, workers=args.workers)
+    rows = sweep_rows(scenario, p_c_list, y_s_list)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -246,13 +225,7 @@ _SITE_KEY = re.compile(r"^site\.(\d+)\.(r1h_m|lateral_offset_m|ris_height_m)$")
 def parse_sites_text(text: str):
     """Parse the indexed sites file into a list of per-site field dicts."""
     entries: dict[int, dict[str, float]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in key_value_lines(text):
         match = _SITE_KEY.match(key)
         if not match:
             raise ConfigError(f"line {lineno}: unknown sites key '{key}'")
@@ -315,8 +288,15 @@ def cmd_select_site(args) -> int:
 
 # ---------------------------------------------------------------- entry
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_CONFIG with one line; exit 2 means infeasible."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="risharvest",
         description="Placement and reflection tuning for an energy-autonomous "
                     "reflecting-surface relay.",
@@ -341,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--ys-list", help="comma-separated lateral offsets in meters "
                                            "(default 5,10,20)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="worker processes (output order is fixed regardless)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="compare the analytic solution to brute force")

@@ -147,6 +147,11 @@ class Scenario:
             v = getattr(self, name)
             if int(v) != v or v < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        # d_l runs over ris_cols: the lowest elements sit this far below the center
+        half_aperture_m = (self.ris_cols - 1) / 2.0 * self.element_dy_m
+        if self.ris_height_m <= half_aperture_m:
+            raise ConfigError(f"ris_height_m must exceed the surface's lower half-aperture "
+                              f"{half_aperture_m!r} m, or the surface reaches below ground")
         lam = self.wavelength_m
         for name in ("tx_diameter_m", "rx_diameter_m"):
             if getattr(self, name) / lam < 10.0:
@@ -200,13 +205,12 @@ KNOWN_KEYS = frozenset(
 )
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse the flat `key = value` format into a raw string mapping.
+def key_value_lines(text: str):
+    """Yield (lineno, key, value) for every `key = value` line of text.
 
-    Lines starting with `#` (and inline `#` tails) are comments; blank lines
-    are ignored. Duplicate and unknown keys are errors.
+    `#` starts a comment, blank lines are skipped, and any other line without
+    `=` is a ConfigError naming its 1-based line number.
     """
-    mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -214,6 +218,17 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
+def parse_config_text(text: str) -> dict[str, str]:
+    """Parse the flat `key = value` format into a raw string mapping.
+
+    Lines starting with `#` (and inline `#` tails) are comments; blank lines
+    are ignored. Duplicate and unknown keys are errors.
+    """
+    mapping: dict[str, str] = {}
+    for lineno, key, value in key_value_lines(text):
         if key not in KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
         if key in mapping:
@@ -295,10 +310,14 @@ def apply_overrides(mapping: dict[str, str], overrides) -> dict[str, str]:
     return merged
 
 
-def _format_value(value) -> str:
-    # repr() round-trips floats exactly, which keeps save/load bit-exact
+def format_value(value, none: str = "none") -> str:
+    """Text for one emitted value: `none` for None, `true`/`false` for bools,
+    `str` for ints and `repr(float)` for any other number, which round-trips
+    it exactly."""
+    if value is None:
+        return none
     if isinstance(value, bool):
-        raise TypeError("unexpected bool in config")
+        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
@@ -308,13 +327,13 @@ def scenario_to_text(scenario: Scenario) -> str:
     """Serialize a Scenario back to the flat config format (loadable again)."""
     lines = []
     for key in _SCENARIO_FLOAT_KEYS + _SCENARIO_INT_KEYS:
-        lines.append(f"{key} = {_format_value(getattr(scenario, key))}")
+        lines.append(f"{key} = {format_value(getattr(scenario, key))}")
     pm = scenario.power_model
     for key in _POWER_FLOAT_KEYS + _POWER_INT_KEYS:
         value = getattr(pm, key)
         if value is None:
             continue
-        lines.append(f"{key} = {_format_value(value)}")
+        lines.append(f"{key} = {format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -358,16 +377,11 @@ def default_scenario(**changes) -> Scenario:
     return scenario
 
 
-def config_field_names():
-    """All accepted flat config keys, in canonical order."""
-    return _SCENARIO_FLOAT_KEYS + _SCENARIO_INT_KEYS + _POWER_FLOAT_KEYS + _POWER_INT_KEYS
-
-
 __all__ = [
     "SPEED_OF_LIGHT_M_S", "ConfigError", "PowerModel", "Scenario",
     "db", "dbm_to_watts", "watts_to_dbm",
     "noise_power_w", "parabolic_gain", "ris_power_consumption",
     "parse_config_text", "build_scenario", "load_scenario", "apply_overrides",
-    "scenario_to_text", "save_scenario", "default_scenario", "config_field_names",
+    "scenario_to_text", "save_scenario", "default_scenario",
     "KNOWN_KEYS",
 ]

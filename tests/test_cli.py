@@ -177,17 +177,6 @@ def test_sweep_deterministic_bytes(default_config_path, capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_sweep_workers_do_not_change_output(default_config_path, capsys, tmp_path):
-    args = [
-        "sweep", "--config", str(default_config_path),
-        "--pc-log", "1e-7", "1e-4", "4", "--ys-list", "5,10",
-    ]
-    serial, parallel = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    assert run_cli(capsys, *args, "--out", str(serial), "--workers", "1")[0] == EXIT_OK
-    assert run_cli(capsys, *args, "--out", str(parallel), "--workers", "2")[0] == EXIT_OK
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_sweep_bad_pc_list(default_config_path, capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "sweep", "--config", str(default_config_path),
@@ -195,6 +184,24 @@ def test_sweep_bad_pc_list(default_config_path, capsys, tmp_path):
     )
     assert code == EXIT_CONFIG
     assert "--pc-list" in err
+
+
+@pytest.mark.parametrize("pc_log", [
+    ("1e-8", "1e-4", "inf"), ("1e-8", "1e-4", "nan"), ("1e-8", "1e-4", "2.5"),
+    ("1e-8", "1e-4", "1e9"), ("1e-8", "1e-4", "10001"), ("inf", "1e-4", "5"),
+    ("1e-8", "nan", "5"),
+])
+def test_sweep_pc_log_bounded(default_config_path, capsys, tmp_path, pc_log):
+    # every value here is refused before np.logspace runs
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", str(default_config_path),
+        "--pc-log", *pc_log, "--out", str(out_csv),
+    )
+    assert code == EXIT_CONFIG
+    assert err == ("config error: --pc-log needs finite START/STOP and an integer N "
+                   "of at most 10000\n")
+    assert out == "" and not out_csv.exists()
 
 
 # ------------------------------------------------------------------- validate
@@ -275,17 +282,18 @@ def test_select_site_duplicates_tie_to_first(default_config_path, capsys, tmp_pa
     assert parse_kv(out)["selected_index"] == "0"
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "",  # no sites at all
-        "site.1.r1h_m = 1\nsite.1.lateral_offset_m = 5\nsite.1.ris_height_m = 12\n",  # starts at 1
-        "site.0.r1h_m = 1\nsite.0.lateral_offset_m = 5\n",  # missing a field
-        "site.0.r1h_m = 1\nsite.0.r1h_m = 2\n",  # duplicate key
-        "site.0.tilt_deg = 3\n",  # unknown field
-        "just some text\n",  # not key = value
-    ],
-)
+# sites file text -> a fragment of the message it must be refused with
+BAD_SITES_FILES = {
+    "": "defines no sites",
+    "site.1.r1h_m = 1\nsite.1.lateral_offset_m = 5\nsite.1.ris_height_m = 12\n": "contiguous",
+    "site.0.r1h_m = 1\nsite.0.lateral_offset_m = 5\n": "missing 'ris_height_m'",
+    "site.0.r1h_m = 1\nsite.0.r1h_m = 2\n": "duplicate sites key",
+    "site.0.tilt_deg = 3\n": "unknown sites key",
+    "just some text\n": "line 1",
+}
+
+
+@pytest.mark.parametrize("content", list(BAD_SITES_FILES))
 def test_select_site_bad_files(default_config_path, capsys, tmp_path, content):
     sites = tmp_path / "bad.cfg"
     sites.write_text(content)
@@ -294,6 +302,64 @@ def test_select_site_bad_files(default_config_path, capsys, tmp_path, content):
     )
     assert code == EXIT_CONFIG
     assert "config error" in err
+    assert BAD_SITES_FILES[content] in err
+
+
+# ------------------------------------------------------------- surface height
+
+
+def test_surface_below_ground_in_config_file(default_config_path, capsys, tmp_path):
+    # 50 columns at 5.35 mm reach 0.131 m below the center
+    low = tmp_path / "low.cfg"
+    low.write_text(default_config_path.read_text().replace(
+        "ris_height_m = 12.0", "ris_height_m = 0.1"))
+    code, out, err = run_cli(capsys, "solve", "--config", str(low))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error: ris_height_m must exceed")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("override", ["ris_height_m=0.001", "ris_cols=5000"])
+def test_surface_below_ground_by_override(default_config_path, capsys, override):
+    code, out, err = run_cli(
+        capsys, "solve", "--config", str(default_config_path), "--override", override,
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "below ground" in err
+    assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------- usage errors
+
+
+def exit_of(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_missing_required_flag_is_config_error(default_config_path, capsys):
+    code, _, err = exit_of(capsys, "sweep", "--config", str(default_config_path))
+    assert code == EXIT_CONFIG
+    assert err == "risharvest sweep: error: the following arguments are required: --out\n"
+
+
+def test_non_numeric_pc_log_is_config_error(default_config_path, capsys, tmp_path):
+    code, _, err = exit_of(
+        capsys, "sweep", "--config", str(default_config_path),
+        "--pc-log", "1e-8", "abc", "5", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == EXIT_CONFIG
+    assert err == "risharvest sweep: error: argument --pc-log: invalid float value: 'abc'\n"
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = exit_of(capsys, "sweep", "--help")
+    assert code == 0
+    assert "--pc-log" in out
 
 
 # ----------------------------------------------------------------- entrypoint

@@ -21,7 +21,14 @@ from risharvest import (
     save_scenario,
     scenario_to_text,
 )
-from risharvest.scenario import SPEED_OF_LIGHT_M_S, db, dbm_to_watts, watts_to_dbm
+from risharvest.scenario import (
+    SPEED_OF_LIGHT_M_S,
+    db,
+    dbm_to_watts,
+    format_value,
+    key_value_lines,
+    watts_to_dbm,
+)
 
 
 # ---------------------------------------------------------------- conversions
@@ -200,6 +207,21 @@ def test_malformed_line_reports_lineno():
         parse_config_text("# ok\nthis line has no equals sign\n")
 
 
+def test_key_value_lines_tokens():
+    text = "# header\n\n a = 1 # note\nb=x = y\n"
+    assert list(key_value_lines(text)) == [(3, "a", "1"), (4, "b", "x = y")]
+    with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'oops'$"):
+        list(key_value_lines("a = 1\noops\n"))
+
+
+def test_format_value_renders_each_type():
+    values = (True, False, 50, 0.1, 1e-06, float("-inf"), None)
+    assert [format_value(v) for v in values] == [
+        "true", "false", "50", "0.1", "1e-06", "-inf", "none",
+    ]
+    assert format_value(None, none="") == ""
+
+
 def test_comments_and_inline_comments(scenario):
     text = "# header\n" + scenario_to_text(scenario) + "\n\n# trailing\n"
     text = text.replace("transmit_power_w = 1.0", "transmit_power_w = 1.0  # watts")
@@ -265,6 +287,15 @@ def test_scenario_validation_messages():
         default_scenario(conversion_efficiency=1.5)
     with pytest.raises(ConfigError, match="txrx_horizontal_m"):
         default_scenario(txrx_horizontal_m=0.0)
+
+
+def test_surface_must_stay_above_ground():
+    # three columns 1 m apart: the lowest elements sit 1 m below the center
+    with pytest.raises(ConfigError, match="below ground"):
+        default_scenario(ris_cols=3, element_dy_m=1.0, ris_height_m=1.0)
+    assert default_scenario(ris_cols=3, element_dy_m=1.0, ris_height_m=1.001).ris_height_m == 1.001
+    # a single column has no vertical extent
+    assert default_scenario(ris_cols=1, element_dy_m=100.0, ris_height_m=0.01).m_s == 50
 
 
 def test_scenario_derived_quantities(scenario):
