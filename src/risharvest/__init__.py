@@ -49,7 +49,6 @@ from .link import (
 )
 from .optimizer import (
     PlacementSolution,
-    SearchConfig,
     SiteCandidate,
     SiteSelection,
     evaluate_placement,
@@ -71,7 +70,7 @@ __all__ = [
     "element_distances", "element_grid", "element_offsets", "incidence_angle",
     "LinkReport", "ReflectionState", "absorbed_power_element", "harvested_power",
     "link_report", "snr_cophased", "snr_explicit",
-    "PlacementSolution", "SearchConfig", "SiteCandidate", "SiteSelection",
+    "PlacementSolution", "SiteCandidate", "SiteSelection",
     "evaluate_placement", "optimal_amplitude", "optimal_phases",
     "placement_objective", "select_site", "solve_placement",
     "OracleResult", "brute_force_solve", "exhaustive_phase_search",

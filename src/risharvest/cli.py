@@ -119,6 +119,8 @@ def _parse_float_list(text: str, flag: str):
         raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{flag} values must be finite, got {text!r}")
     return values
 
 

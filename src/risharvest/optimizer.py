@@ -3,8 +3,11 @@
 Phases and amplitude have closed forms once the placement r1h is fixed: the
 phases cancel the per-element propagation phase, and the uniform amplitude is
 pinned by requiring harvested power to equal the surface consumption exactly.
-What is left is a one-dimensional search over r1h of a reduced objective,
-done as a coarse grid scan plus golden-section refinement.
+What is left is a one-dimensional search over r1h of a reduced objective.
+The harvest ceiling falls monotonically with r1h, so the feasible placements
+form one interval [0, r1h_f] known in closed form: the search returns
+infeasible without scanning when r1h = 0 is infeasible, and otherwise scans a
+coarse grid up to r1h_f and refines with golden section inside that interval.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from .scenario import Scenario, db
 
 # interior reporting clamp; the physical amplitude interval is open (0, 1)
 _EPS_A = 1e-9
+# placement search: coarse grid step from r1h = 0 and golden-section iterations
+_COARSE_STEP_M = 0.1
+_REFINE_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -40,32 +46,7 @@ class PlacementSolution:
     snr_opt_linear: float | None = None
     snr_opt_db: float | None = None
     p_harv_w: float | None = None
-    objective_curve: np.ndarray | None = None  # sampled (r1h, objective) trace
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Linear-search parameters for solve_placement.
-
-    r1h_max_m = None means the TX-to-RX horizontal span; refine_bracket_m =
-    None means one coarse step each side of the coarse argmax.
-    """
-
-    r1h_min_m: float = 0.0
-    r1h_max_m: float | None = None
-    coarse_step_m: float = 0.1
-    refine_iterations: int = 40
-    refine_bracket_m: float | None = None
-
-    def __post_init__(self):
-        if self.coarse_step_m <= 0:
-            raise ValueError("coarse_step_m must be positive")
-        if self.refine_iterations < 0:
-            raise ValueError("refine_iterations must be nonnegative")
-        if self.r1h_max_m is not None and not self.r1h_min_m < self.r1h_max_m:
-            raise ValueError("r1h_min_m must be below r1h_max_m")
-        if self.refine_bracket_m is not None and self.refine_bracket_m <= 0:
-            raise ValueError("refine_bracket_m must be positive")
+    objective_curve: np.ndarray | None = None  # (r1h, objective) at feasible grid points
 
 
 @dataclass(frozen=True)
@@ -189,48 +170,58 @@ def _golden_section_max(g, lo: float, hi: float, iterations: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_placement(scenario: Scenario, search: SearchConfig | None = None) -> PlacementSolution:
-    """Linear search over r1h maximizing the reduced placement objective.
+def _feasible_limit_m(p_ris_w: float, scenario: Scenario) -> float | None:
+    """Largest feasible r1h, or None when not even r1h = 0 is feasible.
 
-    Coarse grid scan restricted to feasible placements (positive amplitude
-    radicand), then golden-section refinement inside the bracket around the
-    coarse argmax. Exact grid ties go to the lowest r1h. The sampled coarse
-    trace is returned in the solution for auditing multi-modal cases.
+    With cos(th_i) = y_s/r1 the harvest ceiling is C*y_s/r1^3, which falls as
+    r1h grows, so the feasible placements are [0, r1h_f]: r1_f = r1(0) *
+    (ceiling(0)/P_ris)^(1/3) and r1h_f^2 = r1_f^2 - r1(0)^2. Infinite at zero
+    consumption.
     """
-    cfg = search or SearchConfig()
+    if not _amplitude_radicand(0.0, p_ris_w, scenario) > 0.0:
+        return None
+    if p_ris_w == 0.0:
+        return math.inf
+    r1_0, _ = geometry.center_distances(0.0, scenario)
+    # Python floats: a vanishing P_ris gives inf, not a numpy overflow warning
+    r1_f = r1_0 * (float(_harvest_factor(0.0, scenario)) / p_ris_w) ** (1.0 / 3.0)
+    return math.sqrt(max(r1_f * r1_f - r1_0 * r1_0, 0.0))
+
+
+def solve_placement(scenario: Scenario) -> PlacementSolution:
+    """Search r1h in [0, r_h] for the maximum of the reduced placement objective.
+
+    Infeasible at once when r1h = 0 cannot cover the consumption. Otherwise
+    the 0.1 m grid is scanned up to the closed-form feasible limit r1h_f, and
+    golden section refines the bracket one grid step each side of the coarse
+    argmax, clamped to [0, min(r_h, r1h_f)]. Exact grid ties go to the lowest
+    r1h. The solution carries the feasible grid points with their objective
+    values as objective_curve, empty (shape (0, 2)) when infeasible.
+    """
     p_ris = scenario.p_ris_w
-    r_min = cfg.r1h_min_m
-    r_max = cfg.r1h_max_m if cfg.r1h_max_m is not None else scenario.txrx_horizontal_m
-    if not r_min < r_max:
-        raise ValueError("search range is empty")
-    step = cfg.coarse_step_m
-    bracket = cfg.refine_bracket_m if cfg.refine_bracket_m is not None else step
+    limit = _feasible_limit_m(p_ris, scenario)
+    if limit is None:
+        return PlacementSolution(feasible=False, p_ris_w=p_ris, objective_curve=np.empty((0, 2)))
 
-    n = int(math.floor((r_max - r_min) / step + 1e-9)) + 1
-    grid = r_min + step * np.arange(n)
-    if grid[-1] < r_max - 1e-12:
-        grid = np.append(grid, r_max)
+    r_h = scenario.txrx_horizontal_m
+    grid = _COARSE_STEP_M * np.arange(int(math.floor(r_h / _COARSE_STEP_M + 1e-9)) + 1)
+    if grid[-1] < r_h - 1e-12:
+        grid = np.append(grid, r_h)
+    # one point past r1h_f absorbs its rounding; the objective > 0 mask drops it
+    grid = grid[: np.searchsorted(grid, limit, side="right") + 1]
     objective = placement_objective(grid, p_ris, scenario)
-    radicand = _amplitude_radicand(grid, p_ris, scenario)
-    curve = np.column_stack((grid, objective))
+    feasible = objective > 0.0
+    curve = np.column_stack((grid[feasible], objective[feasible]))
 
-    feasible = radicand > 0.0
-    if not feasible.any():
-        return PlacementSolution(feasible=False, p_ris_w=p_ris, objective_curve=curve)
-
-    # argmax over the feasible set; np.argmax takes the first (lowest-r) max
-    best = int(np.argmax(np.where(feasible, objective, -np.inf)))
+    # np.argmax takes the first (lowest-r) max
+    r_best = curve[int(np.argmax(curve[:, 1])), 0]
 
     def g(r):
         return float(placement_objective(r, p_ris, scenario))
 
-    lo = max(grid[best] - bracket, r_min)
-    hi = min(grid[best] + bracket, r_max)
-    r_star = _golden_section_max(g, lo, hi, cfg.refine_iterations)
-    if not float(_amplitude_radicand(r_star, p_ris, scenario)) > 0.0:
-        # refinement drifted outside the feasible set (only possible in
-        # near-degenerate landscapes); fall back to the coarse point
-        r_star = float(grid[best])
+    lo = max(r_best - _COARSE_STEP_M, 0.0)
+    hi = min(r_best + _COARSE_STEP_M, r_h, limit)
+    r_star = _golden_section_max(g, lo, hi, _REFINE_ITERATIONS)
     return evaluate_placement(scenario, r_star, p_ris, objective_curve=curve)
 
 
@@ -258,7 +249,7 @@ def select_site(candidates, p_ris_w: float | None = None) -> SiteSelection:
 
 
 __all__ = [
-    "PlacementSolution", "SearchConfig", "SiteCandidate", "SiteSelection",
+    "PlacementSolution", "SiteCandidate", "SiteSelection",
     "optimal_phases", "optimal_amplitude", "placement_objective",
     "evaluate_placement", "solve_placement", "select_site",
 ]

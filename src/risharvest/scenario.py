@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 

@@ -69,9 +69,18 @@ def test_criterion_1_autonomy_threshold(table_scenario):
     max_pc = max(feasible_pc)
     assert 1e-6 <= max_pc <= 1e-4
     assert elapsed < 10.0
+    # closed form P_c,max = (ceiling(0) - n_rect*P_rect)/M_s: the sweep's
+    # feasible set ends at the last grid value at or below it
+    sc = table_scenario  # y_s = 5 m
+    pm = sc.power_model
+    ceiling = sc.conversion_efficiency * sc.m_s * absorbed_power_element(0.0, 0.0, sc)
+    p_c_max = (ceiling - pm.n_rectifiers * pm.p_rectifier_w) / sc.m_s
+    assert p_c_max == pytest.approx(43.3e-6, abs=0.05e-6)
+    assert max_pc <= p_c_max < pc_grid[pc_grid.index(max_pc) + 1]
     print(
         f"PASS criterion 1: max feasible chip power {max_pc:.4e} W "
-        f"lies in [1e-06, 1e-04] W ({elapsed:.2f} s < 10 s)"
+        f"lies in [1e-06, 1e-04] W and is the last grid value below the "
+        f"closed-form threshold {p_c_max:.4e} W ({elapsed:.2f} s < 10 s)"
     )
 
 

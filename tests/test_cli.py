@@ -83,8 +83,18 @@ def test_solve_objective_curve(default_config_path, capsys, tmp_path):
     assert code == EXIT_OK
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "r1h_m,objective"
-    assert len(lines) == 1 + 1001  # 0..100 m at the 0.1 m default step
+    # the feasible grid points only: 0..34.6 m at 0.1 m, short of r1h_f = 34.655 m
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert [r for r, _ in rows] == [0.1 * k for k in range(347)]
+    assert all(g > 0.0 for _, g in rows)
     assert f"objective_curve_csv = {out_csv}" in out
+
+    code, _, _ = run_cli(
+        capsys, "solve", "--config", str(default_config_path),
+        "--override", "p_chip_w=1.0", "--out", str(out_csv),
+    )
+    assert code == EXIT_INFEASIBLE
+    assert out_csv.read_text() == "r1h_m,objective\n"
 
 
 def test_solve_missing_config(capsys, tmp_path):
@@ -178,12 +188,17 @@ def test_sweep_deterministic_bytes(default_config_path, capsys, tmp_path):
 
 
 def test_sweep_bad_pc_list(default_config_path, capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys, "sweep", "--config", str(default_config_path),
-        "--pc-list", "1e-6,abc", "--out", str(tmp_path / "x.csv"),
-    )
-    assert code == EXIT_CONFIG
-    assert "--pc-list" in err
+    # non-finite values would otherwise run as infeasible rows (exit 2)
+    out_csv = tmp_path / "x.csv"
+    for pc_list, ys_list, flag in [("1e-6,abc", "5", "--pc-list"), ("nan", "5", "--pc-list"),
+                                   ("1e-6", "5,inf", "--ys-list")]:
+        code, out, err = run_cli(
+            capsys, "sweep", "--config", str(default_config_path),
+            "--pc-list", pc_list, "--ys-list", ys_list, "--out", str(out_csv),
+        )
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {flag} ") and err.count("\n") == 1
+        assert out == "" and not out_csv.exists()
 
 
 @pytest.mark.parametrize("pc_log", [
