@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle, optimizer
 from .link import snr_cophased
-from .scenario import ConfigError, Scenario, key_value_lines, load_scenario
+from .scenario import ConfigError, Scenario, key_value_lines, load_scenario, parse_number
 from .scenario import format_value as _fmt
 
 EXIT_OK = 0
@@ -113,14 +113,9 @@ def _sweep_point(scenario: Scenario, y_s: float, p_c: float) -> SweepRow:
 
 
 def _parse_float_list(text: str, flag: str):
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+    values = [parse_number(f"{flag} value", part) for part in text.split(",") if part.strip()]
     if not values:
         raise ConfigError(f"{flag} is empty")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{flag} values must be finite, got {text!r}")
     return values
 
 
@@ -232,14 +227,10 @@ def parse_sites_text(text: str):
         if not match:
             raise ConfigError(f"line {lineno}: unknown sites key '{key}'")
         index, field = int(match.group(1)), match.group(2)
-        try:
-            number = float(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: value for '{key}' is not a number") from None
         entries.setdefault(index, {})
         if field in entries[index]:
             raise ConfigError(f"line {lineno}: duplicate sites key '{key}'")
-        entries[index][field] = number
+        entries[index][field] = parse_number(f"line {lineno}: value for '{key}'", value)
     if not entries:
         raise ConfigError("sites file defines no sites")
     indices = sorted(entries)
@@ -347,7 +338,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -25,6 +25,8 @@ _EPS_A = 1e-9
 # placement search: coarse grid step from r1h = 0 and golden-section iterations
 _COARSE_STEP_M = 0.1
 _REFINE_ITERATIONS = 40
+# the scanned span is a user number; a longer scan is refused before allocating
+_MAX_COARSE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -204,10 +206,18 @@ def solve_placement(scenario: Scenario) -> PlacementSolution:
         return PlacementSolution(feasible=False, p_ris_w=p_ris, objective_curve=np.empty((0, 2)))
 
     r_h = scenario.txrx_horizontal_m
-    grid = _COARSE_STEP_M * np.arange(int(math.floor(r_h / _COARSE_STEP_M + 1e-9)) + 1)
+    span = min(r_h, limit)
+    if span / _COARSE_STEP_M >= _MAX_COARSE_POINTS:
+        raise ValueError(f"the coarse placement scan up to {span!r} m needs more than "
+                         f"{_MAX_COARSE_POINTS} points of {_COARSE_STEP_M} m")
+    # the grid is the step multiples up to r_h (within 1e-9 of a step), then
+    # r_h itself. Only the multiples up to span and two more are built; the
+    # cut keeps one point past r1h_f, which absorbs its rounding and which the
+    # objective > 0 mask drops
+    n_last = math.floor(min(r_h / _COARSE_STEP_M + 1e-9, span / _COARSE_STEP_M + 2.0))
+    grid = _COARSE_STEP_M * np.arange(n_last + 1)
     if grid[-1] < r_h - 1e-12:
         grid = np.append(grid, r_h)
-    # one point past r1h_f absorbs its rounding; the objective > 0 mask drops it
     grid = grid[: np.searchsorted(grid, limit, side="right") + 1]
     objective = placement_objective(grid, p_ris, scenario)
     feasible = objective > 0.0

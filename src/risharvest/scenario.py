@@ -4,15 +4,21 @@ Everything downstream (geometry, link budget, placement search) reads its
 parameters from a validated, immutable Scenario. All internal computation is
 in SI units (watts, meters, radians, hertz); dB and dBm appear only at the
 configuration and reporting boundaries.
+
+The config keys are written nowhere but in the dataclasses: the key table is
+read from the fields of Scenario (all required but power_model) and of
+PowerModel (each optional, with its default). parse_number is the one place
+where user text (config, override, sites file, sweep lists) becomes a number.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
+MAX_SURFACE_ELEMENTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -147,6 +153,9 @@ class Scenario:
             v = getattr(self, name)
             if int(v) != v or v < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        # every per-element array is sized by this
+        if self.m_s > MAX_SURFACE_ELEMENTS:
+            raise ConfigError(f"the surface has {self.m_s} elements, more than {MAX_SURFACE_ELEMENTS}")
         # d_l runs over ris_cols: the lowest elements sit this far below the center
         half_aperture_m = (self.ris_cols - 1) / 2.0 * self.element_dy_m
         if self.ris_height_m <= half_aperture_m:
@@ -188,21 +197,14 @@ class Scenario:
         return ris_power_consumption(self.power_model, self.m_s)
 
 
-# Flat config keys. Scenario scalars are required; power-model keys fall back
-# to the PowerModel defaults; p_chip_w may be omitted entirely.
-_SCENARIO_FLOAT_KEYS = (
-    "carrier_frequency_hz", "transmit_power_w", "bandwidth_hz", "noise_figure_db",
-    "tx_diameter_m", "rx_diameter_m", "tx_efficiency", "rx_efficiency",
-    "tx_height_m", "rx_height_m", "ris_height_m", "txrx_horizontal_m",
-    "lateral_offset_m", "element_dx_m", "element_dy_m", "conversion_efficiency",
-)
-_SCENARIO_INT_KEYS = ("ris_rows", "ris_cols")
-_POWER_FLOAT_KEYS = ("p_static_w", "p_dynamic_w", "reconfig_fraction", "p_rectifier_w", "p_chip_w")
-_POWER_INT_KEYS = ("n_rectifiers",)
+# (key, owning dataclass) in field order; these three keys are integers, every
+# other key is a float
+_INTEGER_KEYS = frozenset(("ris_rows", "ris_cols", "n_rectifiers"))
+_CONFIG_KEYS = tuple(
+    (f.name, Scenario) for f in fields(Scenario) if f.name != "power_model"
+) + tuple((f.name, PowerModel) for f in fields(PowerModel))
 
-KNOWN_KEYS = frozenset(
-    _SCENARIO_FLOAT_KEYS + _SCENARIO_INT_KEYS + _POWER_FLOAT_KEYS + _POWER_INT_KEYS
-)
+KNOWN_KEYS = frozenset(key for key, _ in _CONFIG_KEYS)
 
 
 def key_value_lines(text: str):
@@ -239,24 +241,23 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def _parse_float(key: str, text: str) -> float:
+def parse_number(label: str, text: str, integer: bool = False):
+    """The one conversion of user text to a number: config and override
+    values, sites-file values and sweep list elements.
+
+    Returns a finite float, or an int when `integer`. Anything else is a
+    ConfigError whose message starts with `label`.
+    """
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"value for '{key}' is not a number: {text!r}") from None
+        raise ConfigError(f"{label} is not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"value for '{key}' must be finite: {text!r}")
-    return value
-
-
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    value = _parse_float(key, text)
+        raise ConfigError(f"{label} must be finite: {text!r}")
+    if not integer:
+        return value
     if not value.is_integer():
-        raise ConfigError(f"value for '{key}' must be an integer: {text!r}")
+        raise ConfigError(f"{label} must be an integer: {text!r}")
     return int(value)
 
 
@@ -265,23 +266,14 @@ def build_scenario(mapping: dict[str, str]) -> Scenario:
     for key in mapping:
         if key not in KNOWN_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
-    kwargs = {}
-    for key in _SCENARIO_FLOAT_KEYS:
-        if key not in mapping:
-            raise ConfigError(f"missing required config key '{key}'")
-        kwargs[key] = _parse_float(key, mapping[key])
-    for key in _SCENARIO_INT_KEYS:
-        if key not in mapping:
-            raise ConfigError(f"missing required config key '{key}'")
-        kwargs[key] = _parse_int(key, mapping[key])
-    power_kwargs = {}
-    for key in _POWER_FLOAT_KEYS:
+    kwargs = {Scenario: {}, PowerModel: {}}
+    for key, owner in _CONFIG_KEYS:
         if key in mapping:
-            power_kwargs[key] = _parse_float(key, mapping[key])
-    for key in _POWER_INT_KEYS:
-        if key in mapping:
-            power_kwargs[key] = _parse_int(key, mapping[key])
-    return Scenario(power_model=PowerModel(**power_kwargs), **kwargs)
+            kwargs[owner][key] = parse_number(f"value for '{key}'", mapping[key],
+                                              integer=key in _INTEGER_KEYS)
+        elif owner is Scenario:
+            raise ConfigError(f"missing required config key '{key}'")
+    return Scenario(power_model=PowerModel(**kwargs[PowerModel]), **kwargs[Scenario])
 
 
 def load_scenario(path, overrides=()) -> Scenario:
@@ -326,14 +318,10 @@ def format_value(value, none: str = "none") -> str:
 def scenario_to_text(scenario: Scenario) -> str:
     """Serialize a Scenario back to the flat config format (loadable again)."""
     lines = []
-    for key in _SCENARIO_FLOAT_KEYS + _SCENARIO_INT_KEYS:
-        lines.append(f"{key} = {format_value(getattr(scenario, key))}")
-    pm = scenario.power_model
-    for key in _POWER_FLOAT_KEYS + _POWER_INT_KEYS:
-        value = getattr(pm, key)
-        if value is None:
-            continue
-        lines.append(f"{key} = {format_value(value)}")
+    for key, owner in _CONFIG_KEYS:
+        value = getattr(scenario if owner is Scenario else scenario.power_model, key)
+        if value is not None:
+            lines.append(f"{key} = {format_value(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,7 @@ from risharvest.cli import (
     SweepRow,
     main,
 )
+from risharvest.scenario import KNOWN_KEYS
 
 CSV_HEADER = "p_c_w,y_s_m,feasible,r1h_opt_m,a_opt,snr_opt_db,p_harv_w,p_ris_w"
 
@@ -305,6 +306,9 @@ BAD_SITES_FILES = {
     "site.0.r1h_m = 1\nsite.0.r1h_m = 2\n": "duplicate sites key",
     "site.0.tilt_deg = 3\n": "unknown sites key",
     "just some text\n": "line 1",
+    "site.0.r1h_m = nan\nsite.0.lateral_offset_m = 5\nsite.0.ris_height_m = 12\n": "must be finite",
+    "site.0.r1h_m = inf\nsite.0.lateral_offset_m = 5\nsite.0.ris_height_m = 12\n": "must be finite",
+    "site.0.r1h_m = 1\nsite.0.lateral_offset_m = inf\nsite.0.ris_height_m = 12\n": "must be finite",
 }
 
 
@@ -344,6 +348,74 @@ def test_surface_below_ground_by_override(default_config_path, capsys, override)
     assert out == ""
     assert "below ground" in err
     assert err.count("\n") == 1
+
+
+# ------------------------------------------------------------ numeric bounds
+
+
+@pytest.mark.parametrize("override", [
+    "noise_figure_db=1e6", "carrier_frequency_hz=1e308", "lateral_offset_m=1e308",
+    "ris_height_m=1e308", "tx_height_m=1e308", "rx_height_m=1e308",
+])
+def test_numeric_overflow_is_one_line_error(default_config_path, capsys, override):
+    code, out, err = run_cli(
+        capsys, "solve", "--config", str(default_config_path), "--override", override,
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # zero draw scans the whole span: 1,000,010 grid points at 0.1 m
+    (("p_chip_w=0", "txrx_horizontal_m=100001"), "error: the coarse placement scan"),
+    (("ris_rows=1000001", "ris_cols=1"), "config error: the surface has 1000001 elements"),
+], ids=["long_zero_draw_scan", "million_plus_elements"])
+def test_user_sized_allocations_refused(default_config_path, capsys, overrides, message):
+    argv = ["solve", "--config", str(default_config_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+HOSTILE_TOKENS = ("nan", "inf", "-inf", "-1", "0", "", "abc", "2.5")
+
+
+@pytest.mark.filterwarnings("ignore:.*below 10 wavelengths:UserWarning")
+def test_hostile_values_exit_cleanly(default_config_path, sites_config_path, capsys, tmp_path):
+    # every case must end in 0, 2 or 3, and 3 with exactly one stderr line
+    def check(*argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG), argv
+        if code == EXIT_CONFIG:
+            assert err.count("\n") == 1, (argv, err)
+
+    def with_value(path, key, token):
+        # the file with the key's line, if any, replaced by `key = token`
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(f"{key} =")]
+        return "\n".join(lines + [f"{key} = {token}"]) + "\n"
+
+    cfg = tmp_path / "hostile.cfg"
+    for key in sorted(KNOWN_KEYS):
+        for token in HOSTILE_TOKENS:
+            cfg.write_text(with_value(default_config_path, key, token))
+            check("solve", "--config", str(cfg))
+
+    sites = tmp_path / "hostile_sites.cfg"
+    for field in ("r1h_m", "lateral_offset_m", "ris_height_m"):
+        for token in HOSTILE_TOKENS:
+            sites.write_text(with_value(sites_config_path, f"site.0.{field}", token))
+            check("select-site", "--config", str(default_config_path), "--sites", str(sites))
+
+    out_csv = str(tmp_path / "x.csv")
+    for token in HOSTILE_TOKENS:
+        check("sweep", "--config", str(default_config_path), "--pc-list", f"1e-6,{token}",
+              "--ys-list", "5", "--out", out_csv)
+        check("sweep", "--config", str(default_config_path), "--pc-list", "1e-6",
+              "--ys-list", f"5,{token}", "--out", out_csv)
 
 
 # ---------------------------------------------------------------- usage errors

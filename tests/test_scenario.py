@@ -27,6 +27,7 @@ from risharvest.scenario import (
     dbm_to_watts,
     format_value,
     key_value_lines,
+    parse_number,
     watts_to_dbm,
 )
 
@@ -220,6 +221,19 @@ def test_format_value_renders_each_type():
         "true", "false", "50", "0.1", "1e-06", "-inf", "none",
     ]
     assert format_value(None, none="") == ""
+
+
+def test_parse_number_refusals_start_with_label():
+    assert parse_number("x", " 2.5 ") == 2.5
+    assert parse_number("x", "50.0", integer=True) == 50
+    assert type(parse_number("x", "5e1", integer=True)) is int
+    for text, reason in [("abc", "is not a number"), ("", "is not a number"),
+                         ("nan", "must be finite"), ("-inf", "must be finite"),
+                         ("1e400", "must be finite")]:
+        with pytest.raises(ConfigError, match=f"^value for 'k' {reason}: "):
+            parse_number("value for 'k'", text)
+    with pytest.raises(ConfigError, match="^value for 'k' must be an integer: '2.5'$"):
+        parse_number("value for 'k'", "2.5", integer=True)
 
 
 def test_comments_and_inline_comments(scenario):
