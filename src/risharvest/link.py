@@ -137,21 +137,26 @@ def snr_cophased(r1h_m: float, uniform_a: float, scenario: Scenario) -> float:
     return base * (uniform_a * uniform_a)
 
 
-def absorbed_power_element(a: float, r1h_m: float, scenario: Scenario) -> float:
-    """Power absorbed by one element at reflection amplitude a.
-
-    (1 - a^2) * (lambda/4pi)^2 * P_t G_t * 4 cos(th_i) / r1^2, with the center
-    distance and incidence angle standing in for every element.
-    """
+def incident_power(r1, th_i, scenario: Scenario):
+    """Power impinging on one element, (lambda/4pi)^2 P_t G_t 4 cos(th_i) / r1^2,
+    with the center distance and incidence angle (scalar or array)."""
     lam = scenario.wavelength_m
+    return ((lam / (4.0 * math.pi)) ** 2 * scenario.transmit_power_w * scenario.tx_gain
+            * element_gain(th_i) / (r1 ** 2))
+
+
+def harvest_ceiling(r1, th_i, scenario: Scenario):
+    """Harvested power when every element absorbs fully (A = 0):
+    eps_conv * M_s * P_inc. A uniform amplitude A harvests (1 - A^2) of it."""
+    return scenario.conversion_efficiency * scenario.m_s * incident_power(r1, th_i, scenario)
+
+
+def absorbed_power_element(a: float, r1h_m: float, scenario: Scenario) -> float:
+    """Power absorbed by one element at reflection amplitude a:
+    (1 - a^2) * P_inc at the center geometry of placement r1h."""
     r1, _ = geometry.center_distances(r1h_m, scenario)
     th_i = geometry.incidence_angle(r1h_m, scenario)
-    p_inc = (
-        (lam / (4.0 * math.pi)) ** 2
-        * scenario.transmit_power_w * scenario.tx_gain
-        * element_gain(th_i) / (r1 ** 2)
-    )
-    return (1.0 - a * a) * p_inc
+    return (1.0 - a * a) * incident_power(r1, th_i, scenario)
 
 
 def harvested_power(r1h_m: float, amplitudes, scenario: Scenario) -> float:

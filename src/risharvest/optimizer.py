@@ -77,16 +77,14 @@ def optimal_phases(r1h_m: float, scenario: Scenario) -> np.ndarray:
 
 
 def _harvest_factor(r1h_m, scenario: Scenario):
-    """Harvest ceiling at this placement: harvested power when every element
-    absorbs fully (A = 0). The uniform-amplitude harvest is this times
-    (1 - A^2)."""
-    p_inc = link.absorbed_power_element(0.0, r1h_m, scenario)
-    return scenario.conversion_efficiency * scenario.m_s * p_inc
+    """Harvest ceiling (link.harvest_ceiling) at placement r1h."""
+    r1, _ = geometry.center_distances(r1h_m, scenario)
+    return link.harvest_ceiling(r1, geometry.incidence_angle(r1h_m, scenario), scenario)
 
 
-def _amplitude_radicand(r1h_m, p_ris_w: float, scenario: Scenario):
+def _amplitude_radicand(ceiling, p_ris_w: float):
     """1 - P_ris / harvest ceiling; the square of the optimal amplitude."""
-    return 1.0 - p_ris_w / _harvest_factor(r1h_m, scenario)
+    return 1.0 - p_ris_w / ceiling
 
 
 def optimal_amplitude(r1h_m: float, p_ris_w: float, scenario: Scenario) -> float | None:
@@ -99,7 +97,7 @@ def optimal_amplitude(r1h_m: float, p_ris_w: float, scenario: Scenario) -> float
     """
     if p_ris_w < 0:
         raise ValueError("p_ris_w must be nonnegative")
-    radicand = float(_amplitude_radicand(r1h_m, p_ris_w, scenario))
+    radicand = float(_amplitude_radicand(_harvest_factor(r1h_m, scenario), p_ris_w))
     if radicand < 0.0:
         return None
     return math.sqrt(radicand)
@@ -108,17 +106,17 @@ def optimal_amplitude(r1h_m: float, p_ris_w: float, scenario: Scenario) -> float
 def placement_objective(r1h_m, p_ris_w: float, scenario: Scenario):
     """Reduced placement objective after phases and amplitude are eliminated.
 
-    G(r1h) = cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2) * (1 - P_ris * r1^2 /
-    (4 M_s eps_conv (lambda/4pi)^2 P_t G_t cos(th_i))). Negative where the
-    placement is infeasible; those values are never selected by the search.
-    Accepts scalar or array r1h. The optimal SNR is
-    16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
+    G(r1h) = cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2) * (1 - P_ris / ceiling),
+    with the ceiling of link.harvest_ceiling; one center-geometry evaluation
+    per point feeds both factors. Negative where the placement is infeasible;
+    the search never selects those values. Accepts scalar or array r1h. The
+    optimal SNR is 16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
     """
     r1, r2 = geometry.center_distances(r1h_m, scenario)
     th_i = geometry.incidence_angle(r1h_m, scenario)
     th_r = geometry.departure_angle(r1h_m, scenario)
     snr_shape = np.cos(th_i) * np.cos(th_r) / (r1 ** 2 * r2 ** 2 * scenario.noise_w)
-    return snr_shape * _amplitude_radicand(r1h_m, p_ris_w, scenario)
+    return snr_shape * _amplitude_radicand(link.harvest_ceiling(r1, th_i, scenario), p_ris_w)
 
 
 def evaluate_placement(
@@ -180,13 +178,14 @@ def _feasible_limit_m(p_ris_w: float, scenario: Scenario) -> float | None:
     (ceiling(0)/P_ris)^(1/3) and r1h_f^2 = r1_f^2 - r1(0)^2. Infinite at zero
     consumption.
     """
-    if not _amplitude_radicand(0.0, p_ris_w, scenario) > 0.0:
+    ceiling_0 = _harvest_factor(0.0, scenario)
+    if not _amplitude_radicand(ceiling_0, p_ris_w) > 0.0:
         return None
     if p_ris_w == 0.0:
         return math.inf
     r1_0, _ = geometry.center_distances(0.0, scenario)
     # Python floats: a vanishing P_ris gives inf, not a numpy overflow warning
-    r1_f = r1_0 * (float(_harvest_factor(0.0, scenario)) / p_ris_w) ** (1.0 / 3.0)
+    r1_f = r1_0 * (float(ceiling_0) / p_ris_w) ** (1.0 / 3.0)
     return math.sqrt(max(r1_f * r1_f - r1_0 * r1_0, 0.0))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import link
+from . import geometry, link
 from .scenario import Scenario
 
 # tractability guard for the exhaustive phase enumeration
@@ -23,6 +23,8 @@ _MAX_PROFILES = 10 ** 8
 _CHUNK_PROFILES = 4096
 # size guard for the (r1h, A) lattice of brute_force_solve
 _MAX_LATTICE_POINTS = 10 ** 7
+# lattice points per block of the amplitude pick; bounds the solver's memory
+_CHUNK_LATTICE_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,14 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
     """Grid search over (r1h, uniform A) with the harvest equality enforced
     numerically.
 
-    For every r1h column the harvest at full absorption is evaluated once
-    through link.harvested_power; the uniform-amplitude harvest is that
-    ceiling times (1 - a^2), so the whole amplitude lattice of a column can
-    be scored at once. The lattice amplitude whose harvest lands nearest the
-    required consumption is kept (columns whose ceiling cannot cover the
-    consumption are dropped), and the kept point with maximal co-phased SNR
-    wins; exact ties go to the lowest r1h. Steps must be positive and finite,
-    and lattices above _MAX_LATTICE_POINTS points are refused before anything
-    is allocated.
+    The r1h columns go in blocks of at most _CHUNK_LATTICE_POINTS lattice
+    points, one link.harvest_ceiling call each (one block at the default steps
+    up to a 523 m span). A column's uniform-amplitude harvest is its ceiling
+    times (1 - a^2); columns whose ceiling cannot cover the consumption are
+    dropped, the others keep the lattice amplitude whose harvest lands nearest
+    it, and the kept point with maximal co-phased SNR wins; exact ties go to
+    the lowest r1h. Steps must be positive and finite, and lattices above
+    _MAX_LATTICE_POINTS points are refused before anything is allocated.
     """
     if not (0.0 < r1h_step_m < math.inf and 0.0 < a_step < math.inf):
         raise ValueError("lattice steps must be positive and finite")
@@ -61,23 +62,25 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
     if n_points > _MAX_LATTICE_POINTS:
         raise ValueError(f"lattice of {n_points:.3g} points exceeds the guard of {_MAX_LATTICE_POINTS:.0e}")
     p_ris = scenario.p_ris_w
-    shape = (scenario.ris_rows, scenario.ris_cols)
-    zeros = np.zeros(shape)
-    r_grid = r1h_step_m * np.arange(int(round(scenario.txrx_horizontal_m / r1h_step_m)) + 1)
+    n_columns = int(round(scenario.txrx_horizontal_m / r1h_step_m)) + 1
     a_grid = a_step * np.arange(int(round(1.0 / a_step)))  # [0, 1)
-    one_minus_a2 = 1.0 - a_grid ** 2
+    block = max(1, _CHUNK_LATTICE_POINTS // max(a_grid.size, 1))
 
     best = None
-    for r in r_grid:
-        ceiling = link.harvested_power(float(r), zeros, scenario)
-        if ceiling < p_ris:
+    for start in range(0, n_columns, block):
+        r_grid = r1h_step_m * np.arange(start, min(start + block, n_columns))
+        r1, _ = geometry.center_distances(r_grid, scenario)
+        ceiling = link.harvest_ceiling(r1, geometry.incidence_angle(r_grid, scenario), scenario)
+        keep = ceiling >= p_ris
+        if not keep.any():
             continue
-        p_harv_col = ceiling * one_minus_a2
-        k = int(np.argmin(np.abs(p_harv_col - p_ris)))
-        a = float(a_grid[k])
-        snr = link.snr_cophased(float(r), a, scenario)
-        if best is None or snr > best[2]:
-            best = (float(r), a, snr, float(p_harv_col[k]))
+        p_harv = ceiling[keep, None] * (1.0 - a_grid ** 2)
+        picks = np.argmin(np.abs(p_harv - p_ris), axis=1)
+        for r, k, harv in zip(r_grid[keep], picks, p_harv[np.arange(picks.size), picks]):
+            a = float(a_grid[k])
+            snr = link.snr_cophased(float(r), a, scenario)
+            if best is None or snr > best[2]:
+                best = (float(r), a, snr, float(harv))
 
     if best is None:
         return OracleResult(feasible=False, r1h_step_m=r1h_step_m, a_step=a_step)

@@ -366,6 +366,21 @@ def test_numeric_overflow_is_one_line_error(default_config_path, capsys, overrid
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("override, message", [
+    # the noise power underflows to 0 W
+    ("bandwidth_hz=1e-320", "config error: the noise power 0.0 W"),
+    ("element_dx_m=1e308", "config error: the surface aperture (ris_rows - 1) * element_dx_m"),
+    ("element_dy_m=1e308", "config error: the surface aperture (ris_cols - 1) * element_dy_m"),
+])
+def test_subnormal_or_huge_finite_values_refused(default_config_path, capsys, override, message):
+    code, out, err = run_cli(
+        capsys, "solve", "--config", str(default_config_path), "--override", override,
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("overrides, message", [
     # zero draw scans the whole span: 1,000,010 grid points at 0.1 m
     (("p_chip_w=0", "txrx_horizontal_m=100001"), "error: the coarse placement scan"),

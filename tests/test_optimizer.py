@@ -25,6 +25,7 @@ from risharvest import (
     snr_explicit,
     solve_placement,
 )
+from risharvest import geometry as geometry_module
 from risharvest.geometry import center_distances, departure_angle, incidence_angle
 from risharvest.link import path_phase_rad
 from risharvest.oracle import brute_force_solve
@@ -151,6 +152,19 @@ def test_objective_continuity(scenario):
     assert jumps[1] < jumps[0] and jumps[2] < jumps[1]
 
 
+@pytest.mark.parametrize("r1h", [7.3, np.linspace(0.0, 100.0, 11)], ids=["scalar", "array"])
+def test_objective_evaluates_center_geometry_once(monkeypatch, scenario, r1h):
+    # the SNR shape and the harvest ceiling share one evaluation per point
+    counts = dict.fromkeys(("center_distances", "incidence_angle", "departure_angle"), 0)
+    for name in counts:
+        def counted(*args, name=name, fn=getattr(geometry_module, name), **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(geometry_module, name, counted)
+    placement_objective(r1h, scenario.p_ris_w, scenario)
+    assert counts == {"center_distances": 1, "incidence_angle": 1, "departure_angle": 1}
+
+
 # ----------------------------------------------------------------- evaluation
 
 
@@ -250,6 +264,31 @@ geometries = st.fixed_dictionaries({
 def with_power(scenario, n_rectifiers, p_rectifier_w, p_chip_w):
     return replace(scenario, power_model=PowerModel(
         n_rectifiers=n_rectifiers, p_rectifier_w=p_rectifier_w, p_chip_w=p_chip_w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometries, st.fixed_dictionaries({
+    "ris_rows": st.integers(1, 60),
+    "ris_cols": st.integers(1, 60),
+    "transmit_power_w": st.floats(1e-3, 10.0),
+    "conversion_efficiency": st.floats(0.05, 0.95),
+    "noise_figure_db": st.floats(0.0, 15.0),
+}), st.floats(0.0, 1e-4), st.floats(0.0, 1.0))
+def test_objective_angle_free_identity(geometry, radio, p_chip_w, fraction):
+    # cos(th_i) cos(th_r) = y_s^2/(r1 r2) and the ceiling is C*y_s/r1^3, so
+    # G = y_s^2/(sigma^2 r2^3) * (r1^-3 - P_ris/(C*y_s)) needs no angle
+    sc = with_chip_power(default_scenario(**geometry, **radio), p_chip_w)
+    r1h = fraction * sc.txrx_horizontal_m
+    ys = sc.lateral_offset_m
+    r1 = math.sqrt(r1h**2 + ys**2 + (sc.ris_height_m - sc.tx_height_m) ** 2)
+    r2 = math.sqrt((sc.txrx_horizontal_m - r1h) ** 2 + ys**2 + (sc.ris_height_m - sc.rx_height_m) ** 2)
+    c = (sc.conversion_efficiency * sc.m_s * (sc.wavelength_m / (4 * math.pi)) ** 2
+         * sc.transmit_power_w * sc.tx_gain * 4)
+    lead = ys**2 / (sc.noise_w * r2**3)
+    expected = lead * (r1**-3 - sc.p_ris_w / (c * ys))
+    got = float(placement_objective(r1h, sc.p_ris_w, sc))
+    # relative to the larger term: the two cancel where r1h meets r1h_f
+    assert abs(got - expected) <= 1e-12 * lead * max(r1**-3, sc.p_ris_w / (c * ys))
 
 
 @settings(max_examples=50, deadline=None)

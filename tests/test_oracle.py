@@ -109,6 +109,18 @@ def test_infeasible_everywhere():
     assert res.r1h_m is None and res.snr_linear is None
 
 
+@pytest.mark.parametrize("p_chip_w", [1e-6, 0.0])
+@pytest.mark.parametrize("chunk", [1, 999, 4000])
+def test_lattice_blocks_keep_the_pick(monkeypatch, p_chip_w, chunk):
+    # blocks of one column (a bound of 1 or 999 points rounds up to one
+    # 1000-amplitude column) and of four columns pick the same first best
+    # point as one whole-grid block
+    scenario = with_chip_power(p_chip_w)
+    whole = brute_force_solve(scenario, r1h_step_m=0.5, a_step=0.001)
+    monkeypatch.setattr(oracle, "_CHUNK_LATTICE_POINTS", chunk)
+    assert brute_force_solve(scenario, r1h_step_m=0.5, a_step=0.001) == whole
+
+
 def test_harvest_matches_constraint_within_lattice(scenario):
     res = brute_force_solve(scenario, r1h_step_m=0.5, a_step=0.001)
     # nearest-lattice harvest: off by at most one amplitude step's worth
