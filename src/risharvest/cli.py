@@ -58,14 +58,6 @@ class SweepRow:
         return [_fmt(getattr(self, name), none="") for name in self.FIELDS]
 
 
-def _with_chip_power(scenario: Scenario, p_c_w: float) -> Scenario:
-    return replace(scenario, power_model=replace(scenario.power_model, p_chip_w=p_c_w))
-
-
-def _with_lateral_offset(scenario: Scenario, y_s_m: float) -> Scenario:
-    return replace(scenario, lateral_offset_m=y_s_m)
-
-
 # ---------------------------------------------------------------- solve
 
 def cmd_solve(args) -> int:
@@ -97,19 +89,11 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_point(scenario: Scenario, y_s: float, p_c: float) -> SweepRow:
-    variant = _with_chip_power(_with_lateral_offset(scenario, y_s), p_c)
+def _sweep_row(variant: Scenario) -> SweepRow:
     sol = optimizer.solve_placement(variant)
-    return SweepRow(
-        p_c_w=p_c,
-        y_s_m=y_s,
-        feasible=sol.feasible,
-        r1h_opt_m=sol.r1h_opt_m,
-        a_opt=sol.a_opt,
-        snr_opt_db=sol.snr_opt_db,
-        p_harv_w=sol.p_harv_w,
-        p_ris_w=sol.p_ris_w,
-    )
+    # the optimum cells share their names with the solution's fields
+    return SweepRow(variant.power_model.p_chip_w, variant.lateral_offset_m,
+                    *(getattr(sol, name) for name in SweepRow.FIELDS[2:]))
 
 
 def _parse_float_list(text: str, flag: str):
@@ -120,11 +104,12 @@ def _parse_float_list(text: str, flag: str):
 
 
 def sweep_rows(scenario: Scenario, p_c_list, y_s_list):
-    """All sweep rows ordered by (y_s, P_c) ascending."""
+    """All sweep rows ordered by (y_s, P_c) ascending; one Scenario per row."""
+    models = [replace(scenario.power_model, p_chip_w=p_c) for p_c in sorted(p_c_list)]
     return [
-        _sweep_point(scenario, y_s, p_c)
+        _sweep_row(replace(scenario, lateral_offset_m=y_s, power_model=model))
         for y_s in sorted(y_s_list)
-        for p_c in sorted(p_c_list)
+        for model in models
     ]
 
 
@@ -163,6 +148,11 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- validate
 
 def cmd_validate(args) -> int:
+    # the oracle's amplitude lattice holds round(1 / a_step) values in [0, 1),
+    # fewer than two exactly when 1 / a_step < 1.5; such a lattice cannot meet
+    # the harvest equality
+    if 0.0 < args.a_step < math.inf and 1.0 / args.a_step < 1.5:
+        raise ConfigError(f"--a-step {args.a_step!r} leaves fewer than two amplitudes in [0, 1)")
     scenario = load_scenario(args.config, args.override)
     analytic = optimizer.solve_placement(scenario)
     lattice = oracle.brute_force_solve(scenario, args.r1h_step, args.a_step)

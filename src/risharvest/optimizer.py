@@ -44,7 +44,6 @@ class PlacementSolution:
     r1h_opt_m: float | None = None
     a_opt: float | None = None
     a_boundary: bool = False
-    phases_opt: np.ndarray | None = None
     snr_opt_linear: float | None = None
     snr_opt_db: float | None = None
     p_harv_w: float | None = None
@@ -87,6 +86,14 @@ def _amplitude_radicand(ceiling, p_ris_w: float):
     return 1.0 - p_ris_w / ceiling
 
 
+def _amplitude(ceiling, p_ris_w: float) -> float | None:
+    """sqrt of the radicand at this ceiling, or None when it is negative."""
+    if p_ris_w < 0:
+        raise ValueError("p_ris_w must be nonnegative")
+    radicand = float(_amplitude_radicand(ceiling, p_ris_w))
+    return math.sqrt(radicand) if radicand >= 0.0 else None
+
+
 def optimal_amplitude(r1h_m: float, p_ris_w: float, scenario: Scenario) -> float | None:
     """Uniform amplitude meeting the harvest equality at this placement.
 
@@ -95,12 +102,7 @@ def optimal_amplitude(r1h_m: float, p_ris_w: float, scenario: Scenario) -> float
     cannot cover its consumption here even fully absorbing), 0.0 when the
     ceiling is met exactly, and 1.0 at zero consumption (boundary case).
     """
-    if p_ris_w < 0:
-        raise ValueError("p_ris_w must be nonnegative")
-    radicand = float(_amplitude_radicand(_harvest_factor(r1h_m, scenario), p_ris_w))
-    if radicand < 0.0:
-        return None
-    return math.sqrt(radicand)
+    return _amplitude(_harvest_factor(r1h_m, scenario), p_ris_w)
 
 
 def placement_objective(r1h_m, p_ris_w: float, scenario: Scenario):
@@ -125,9 +127,11 @@ def evaluate_placement(
     p_ris_w: float | None = None,
     objective_curve: np.ndarray | None = None,
 ) -> PlacementSolution:
-    """Closed-form solution at a fixed placement (no search)."""
+    """Closed-form solution at a fixed placement (no search): A* and the
+    harvested power (1 - A^2) * ceiling come from one harvest-ceiling value."""
     p_ris = scenario.p_ris_w if p_ris_w is None else p_ris_w
-    a = optimal_amplitude(r1h_m, p_ris, scenario)
+    ceiling = _harvest_factor(r1h_m, scenario)
+    a = _amplitude(ceiling, p_ris)
     if a is None:
         return PlacementSolution(
             feasible=False, p_ris_w=p_ris, objective_curve=objective_curve,
@@ -136,17 +140,15 @@ def evaluate_placement(
     if not boundary:
         a = min(max(a, _EPS_A), 1.0 - _EPS_A)
     snr = link.snr_cophased(r1h_m, a, scenario)
-    amplitudes = np.full((scenario.ris_rows, scenario.ris_cols), a)
     return PlacementSolution(
         feasible=True,
         p_ris_w=p_ris,
         r1h_opt_m=float(r1h_m),
         a_opt=a,
         a_boundary=boundary,
-        phases_opt=optimal_phases(r1h_m, scenario),
         snr_opt_linear=snr,
         snr_opt_db=db(snr) if snr > 0.0 else float("-inf"),
-        p_harv_w=link.harvested_power(r1h_m, amplitudes, scenario),
+        p_harv_w=float(ceiling * (1.0 - a * a)),
         objective_curve=objective_curve,
     )
 

@@ -160,9 +160,11 @@ class Scenario:
             raise ConfigError(f"the noise power {self.noise_w!r} W from bandwidth_hz and "
                               "noise_figure_db must be finite and positive")
         for rows, pitch in (("ris_rows", "element_dx_m"), ("ris_cols", "element_dy_m")):
+            # element distances square the aperture
             aperture_m = (getattr(self, rows) - 1) * getattr(self, pitch)
-            if not math.isfinite(aperture_m):
-                raise ConfigError(f"the surface aperture ({rows} - 1) * {pitch} must be finite")
+            if not math.isfinite(aperture_m * aperture_m):
+                raise ConfigError(f"the surface aperture ({rows} - 1) * {pitch} must have a "
+                                  "finite square")
         # d_l runs over ris_cols: the lowest elements sit this far below the center
         half_aperture_m = (self.ris_cols - 1) / 2.0 * self.element_dy_m
         if self.ris_height_m <= half_aperture_m:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from risharvest import geometry, link
 from risharvest.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -13,6 +14,7 @@ from risharvest.cli import (
     EXIT_VALIDATION,
     SweepRow,
     main,
+    sweep_rows,
 )
 from risharvest.scenario import KNOWN_KEYS
 
@@ -188,6 +190,20 @@ def test_sweep_deterministic_bytes(default_config_path, capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_sweep_rows_build_no_per_element_arrays(monkeypatch, scenario):
+    # a row reports A*, the SNR and P_harv, none of which needs a surface-sized array
+    calls = []
+    for module, name in ((geometry, "element_offsets"), (geometry, "element_distances"),
+                         (link, "harvested_power")):
+        def counted(*args, name=name, fn=getattr(module, name), **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    rows = sweep_rows(scenario, [1e-6, 1e-5, 1e-3], [5.0, 10.0])
+    assert sum(row.feasible for row in rows) == 4
+    assert calls == []
+
+
 def test_sweep_bad_pc_list(default_config_path, capsys, tmp_path):
     # non-finite values would otherwise run as infeasible rows (exit 2)
     out_csv = tmp_path / "x.csv"
@@ -257,6 +273,16 @@ def test_validate_unbounded_lattice_rejected(default_config_path, capsys, flag, 
     assert code == EXIT_CONFIG
     assert err.startswith("error: lattice")
     assert "verdict" not in out
+
+
+@pytest.mark.parametrize("value", ["0.67", "0.7", "3"])
+def test_validate_coarse_a_step_refused(default_config_path, capsys, value):
+    # fewer than two lattice amplitudes in [0, 1) cannot meet the harvest equality
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path),
+                             "--a-step", value)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"config error: --a-step {float(value)!r}") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- select-site
@@ -371,6 +397,8 @@ def test_numeric_overflow_is_one_line_error(default_config_path, capsys, overrid
     ("bandwidth_hz=1e-320", "config error: the noise power 0.0 W"),
     ("element_dx_m=1e308", "config error: the surface aperture (ris_rows - 1) * element_dx_m"),
     ("element_dy_m=1e308", "config error: the surface aperture (ris_cols - 1) * element_dy_m"),
+    # a finite aperture whose square overflows in the element distances
+    ("element_dx_m=1e200", "config error: the surface aperture (ris_rows - 1) * element_dx_m"),
 ])
 def test_subnormal_or_huge_finite_values_refused(default_config_path, capsys, override, message):
     code, out, err = run_cli(

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risharvest import (
@@ -175,7 +175,7 @@ def test_evaluate_placement_feasible(scenario):
     assert not sol.a_boundary
     assert sol.p_harv_w == pytest.approx(sol.p_ris_w, rel=1e-9)
     state = ReflectionState(
-        amplitudes=np.full((50, 50), sol.a_opt), phases=sol.phases_opt
+        amplitudes=np.full((50, 50), sol.a_opt), phases=optimal_phases(10.0, scenario)
     )
     assert snr_explicit(10.0, state, scenario) == pytest.approx(
         sol.snr_opt_linear, rel=1e-9
@@ -289,6 +289,25 @@ def test_objective_angle_free_identity(geometry, radio, p_chip_w, fraction):
     got = float(placement_objective(r1h, sc.p_ris_w, sc))
     # relative to the larger term: the two cancel where r1h meets r1h_f
     assert abs(got - expected) <= 1e-12 * lead * max(r1**-3, sc.p_ris_w / (c * ys))
+
+
+DEFAULT_GEOMETRY = {"lateral_offset_m": 5.0, "txrx_horizontal_m": 100.0, "tx_height_m": 3.0,
+                    "rx_height_m": 3.0, "ris_height_m": 12.0}
+
+
+@settings(max_examples=50, deadline=None)
+@given(geometries, st.integers(1, 60), st.integers(1, 60), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(DEFAULT_GEOMETRY, 50, 50, 0.1, 0.0)  # P_ris = 0: A = 1
+@example(DEFAULT_GEOMETRY, 50, 50, 0.1, 1.0)  # P_ris = ceiling: A = 0
+def test_evaluate_placement_harvest_is_element_sum(geometry, rows, cols, fraction, share):
+    # the closed form (1 - A^2) * ceiling equals the per-element pairwise sum
+    sc = default_scenario(**geometry, ris_rows=rows, ris_cols=cols)
+    r1h = fraction * sc.txrx_horizontal_m
+    sol = evaluate_placement(sc, r1h, p_ris_w=share * harvest_ceiling(r1h, sc))
+    assert sol.feasible
+    assert sol.a_boundary or share not in (0.0, 1.0)
+    summed = harvested_power(r1h, np.full((rows, cols), sol.a_opt), sc)
+    assert sol.p_harv_w == pytest.approx(summed, rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=50, deadline=None)
