@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle, optimizer
 from .link import snr_cophased
-from .scenario import ConfigError, Scenario, key_value_lines, load_scenario, parse_number
+from .scenario import ConfigError, Scenario, db, key_value_lines, load_scenario, parse_number
 from .scenario import format_value as _fmt
 
 EXIT_OK = 0
@@ -166,11 +166,12 @@ def cmd_validate(args) -> int:
         failures.append("feasibility disagreement")
     elif analytic.feasible:
         delta_r = abs(analytic.r1h_opt_m - lattice.r1h_m)
-        delta_snr_db = abs(analytic.snr_opt_db - 10.0 * math.log10(lattice.snr_linear))
+        oracle_snr_db = db(lattice.snr_linear) if lattice.snr_linear > 0.0 else -math.inf
+        delta_snr_db = abs(analytic.snr_opt_db - oracle_snr_db)
         print(f"analytic_r1h_opt_m = {_fmt(analytic.r1h_opt_m)}")
         print(f"oracle_r1h_m = {_fmt(lattice.r1h_m)}")
         print(f"analytic_snr_opt_db = {_fmt(analytic.snr_opt_db)}")
-        print(f"oracle_snr_db = {_fmt(10.0 * math.log10(lattice.snr_linear))}")
+        print(f"oracle_snr_db = {_fmt(oracle_snr_db)}")
         print(f"delta_r1h_m = {_fmt(delta_r)} (tolerance {_fmt(R1H_TOLERANCE_M)})")
         print(f"delta_snr_db = {_fmt(delta_snr_db)} (tolerance {_fmt(SNR_TOLERANCE_DB)})")
         if delta_r > R1H_TOLERANCE_M:

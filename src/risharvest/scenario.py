@@ -171,6 +171,25 @@ class Scenario:
             raise ConfigError(f"ris_height_m must exceed the surface's lower half-aperture "
                               f"{half_aperture_m!r} m, or the surface reaches below ground")
         lam = self.wavelength_m
+        # the harvest budget in Python floats: an input that over- or underflows
+        # it is refused here, not met as a numpy RuntimeWarning in the solver
+        tiny = 2.0 ** -1022  # the smallest normal float
+        p_inc_const = self.transmit_power_w * self.tx_gain * (lam / (4.0 * math.pi)) ** 2
+        if not tiny <= p_inc_const < math.inf:
+            raise ConfigError(f"the incident-power constant P_t * G_t * (lambda/4pi)^2 = "
+                              f"{p_inc_const!r} from transmit_power_w must be finite and at "
+                              f"least {tiny!r}")
+        if not math.isfinite(self.txrx_horizontal_m * self.txrx_horizontal_m):
+            raise ConfigError("txrx_horizontal_m must have a finite square")
+        # ceiling at r1h = 0, 4 eps M_s const y_s / r1^3; below the normal floats
+        # P_ris / ceiling and the angles' tangents overflow
+        r1_0 = math.sqrt(self.lateral_offset_m ** 2 + (self.ris_height_m - self.tx_height_m) ** 2)
+        ceiling_0 = (4.0 * p_inc_const * self.conversion_efficiency * self.m_s
+                     * self.lateral_offset_m / r1_0 / r1_0 / r1_0) if r1_0 else math.inf
+        if not tiny <= ceiling_0 < math.inf:
+            raise ConfigError(f"the harvest ceiling {ceiling_0!r} W at r1h = 0 from "
+                              "conversion_efficiency, lateral_offset_m and the heights must be "
+                              f"finite and at least {tiny!r}")
         for name in ("tx_diameter_m", "rx_diameter_m"):
             if getattr(self, name) / lam < 10.0:
                 warnings.warn(

@@ -3,10 +3,15 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from risharvest import default_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, and a
+# failure prints the blob that replays it with @reproduce_failure
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -264,6 +264,18 @@ def test_validate_loose_grid_fails_classified(default_config_path, capsys):
     assert "FAIL: placement delta exceeds tolerance" in err
 
 
+def test_validate_zero_oracle_snr_fails_classified(default_config_path, capsys):
+    # just below the autonomy threshold every feasible lattice column keeps
+    # A = 0, so the oracle's best SNR is 0: -inf dB, a failed SNR check
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path),
+                             "--override", "p_chip_w=4.329552e-5")
+    assert code == EXIT_VALIDATION
+    kv = parse_kv(out)
+    assert kv["oracle_snr_db"] == "-inf" and kv["delta_snr_db"] == "inf"
+    assert kv["verdict"] == "fail"
+    assert err == "FAIL: SNR delta exceeds tolerance\n"
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--a-step", "1e-12"), ("--r1h-step", "1e-9"), ("--a-step", "nan"), ("--r1h-step", "inf"),
 ])
@@ -399,6 +411,13 @@ def test_numeric_overflow_is_one_line_error(default_config_path, capsys, overrid
     ("element_dy_m=1e308", "config error: the surface aperture (ris_cols - 1) * element_dy_m"),
     # a finite aperture whose square overflows in the element distances
     ("element_dx_m=1e200", "config error: the surface aperture (ris_rows - 1) * element_dx_m"),
+    # P_t * G_t overflows: the SNR would read inf and the harvest 0 W
+    ("transmit_power_w=1e308", "config error: the incident-power constant"),
+    ("transmit_power_w=1e-320", "config error: the incident-power constant"),
+    # a subnormal harvest ceiling overflows P_ris / ceiling and tan(th_i)
+    ("conversion_efficiency=1e-320", "config error: the harvest ceiling"),
+    ("lateral_offset_m=1e-320", "config error: the harvest ceiling"),
+    ("txrx_horizontal_m=1e300", "config error: txrx_horizontal_m must have a finite square"),
 ])
 def test_subnormal_or_huge_finite_values_refused(default_config_path, capsys, override, message):
     code, out, err = run_cli(
