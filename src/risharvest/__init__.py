@@ -32,11 +32,9 @@ from .scenario import (
 from .geometry import (
     ElementGrid,
     center_distances,
-    departure_angle,
     element_distances,
     element_grid,
     element_offsets,
-    incidence_angle,
 )
 from .link import (
     LinkReport,
@@ -66,8 +64,8 @@ __all__ = [
     "ConfigError", "PowerModel", "Scenario", "default_scenario", "load_scenario",
     "noise_power_w", "parabolic_gain", "ris_power_consumption", "save_scenario",
     "apply_overrides", "build_scenario", "parse_config_text", "scenario_to_text",
-    "ElementGrid", "center_distances", "departure_angle",
-    "element_distances", "element_grid", "element_offsets", "incidence_angle",
+    "ElementGrid", "center_distances",
+    "element_distances", "element_grid", "element_offsets",
     "LinkReport", "ReflectionState", "absorbed_power_element", "harvested_power",
     "link_report", "snr_cophased", "snr_explicit",
     "PlacementSolution", "SiteCandidate", "SiteSelection",

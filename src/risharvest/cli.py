@@ -153,6 +153,11 @@ def cmd_validate(args) -> int:
     # the harvest equality
     if 0.0 < args.a_step < math.inf and 1.0 / args.a_step < 1.5:
         raise ConfigError(f"--a-step {args.a_step!r} leaves fewer than two amplitudes in [0, 1)")
+    # the lattice's pick can sit a whole step from the optimum, so a step
+    # coarser than the placement tolerance makes the verdict meaningless
+    if R1H_TOLERANCE_M < args.r1h_step < math.inf:
+        raise ConfigError(f"--r1h-step {args.r1h_step!r} is coarser than the "
+                          f"{R1H_TOLERANCE_M!r} m placement tolerance")
     scenario = load_scenario(args.config, args.override)
     analytic = optimizer.solve_placement(scenario)
     lattice = oracle.brute_force_solve(scenario, args.r1h_step, args.a_step)

@@ -1,8 +1,11 @@
-"""Placement geometry: element offsets, distances, incidence/departure angles.
+"""Placement geometry: element offsets and distances.
 
 Coordinate model: TX at (0, 0, h_t), RX at (r_h, 0, h_r), surface center at
 (r1h, y_s, h_s) with y_s > 0. Element (p, l) sits at
-(r1h - d_p, y_s, h_s - d_l), so d_l > 0 means below the center.
+(r1h - d_p, y_s, h_s - d_l), so d_l > 0 means below the center. The surface
+normal is the y axis, so the incidence and departure cosines at the center
+are cos(th_i) = y_s/r1 and cos(th_r) = y_s/r2: center_distances is the whole
+center geometry, and no angle is ever formed.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ def element_grid(scenario: Scenario) -> ElementGrid:
 
 
 def center_distances(r1h_m, scenario: Scenario):
-    """TX-to-center and center-to-RX distances. Accepts scalar or array r1h."""
+    """TX-to-center and center-to-RX distances (r1, r2), the one center-geometry
+    kernel. Accepts scalar r1h (returns Python floats) or an array."""
     r1h = np.asarray(r1h_m, dtype=float)
     ys = scenario.lateral_offset_m
     dz_t = scenario.ris_height_m - scenario.tx_height_m
@@ -88,27 +92,7 @@ def element_distances(r1h_m: float, grid: ElementGrid, scenario: Scenario):
     return r1pl, r2pl
 
 
-def incidence_angle(r1h_m, scenario: Scenario):
-    """Angle between the TX direction and the surface normal, in [0, pi/2)."""
-    r1h = np.asarray(r1h_m, dtype=float)
-    dz_t = scenario.ris_height_m - scenario.tx_height_m
-    theta = np.arctan(np.sqrt(r1h ** 2 + dz_t ** 2) / scenario.lateral_offset_m)
-    return float(theta) if np.isscalar(r1h_m) else theta
-
-
-def departure_angle(r1h_m, scenario: Scenario):
-    """Angle between the RX direction and the surface normal, in [0, pi/2)."""
-    r1h = np.asarray(r1h_m, dtype=float)
-    dz_r = scenario.ris_height_m - scenario.rx_height_m
-    theta = np.arctan(
-        np.sqrt((r1h - scenario.txrx_horizontal_m) ** 2 + dz_r ** 2)
-        / scenario.lateral_offset_m
-    )
-    return float(theta) if np.isscalar(r1h_m) else theta
-
-
 __all__ = [
     "ElementGrid",
     "element_offsets", "element_grid", "center_distances", "element_distances",
-    "incidence_angle", "departure_angle",
 ]

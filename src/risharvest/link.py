@@ -4,8 +4,9 @@ Two SNR routes are provided. snr_explicit evaluates the full per-element
 complex sum with exact element distances in the phase terms. snr_cophased is
 the closed form that assumes per-element phases already co-phase every
 contribution and a uniform reflection amplitude. Amplitude terms always use
-the center distance and angle for every element (far-field collapse); only
-phases keep per-element distances.
+the center distances r1, r2 for every element (far-field collapse), with the
+element gain 4*cos(th) and cos(th) = y_s/r; only phases keep per-element
+distances.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .scenario import Scenario, db
+from .scenario import ConfigError, Scenario, db
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,6 @@ class LinkReport:
     p_abs_per_element_w: np.ndarray | None = None
 
 
-def element_gain(theta_rad):
-    """Reflective-unit gain pattern 4*cos(theta), valid for theta in [0, pi/2)."""
-    return 4.0 * np.cos(theta_rad)
-
-
 def phase_mod_2pi(phi):
     """Reduce phases to [0, 2*pi) for comparisons."""
     return np.mod(phi, 2.0 * math.pi)
@@ -84,30 +80,49 @@ def _check_shape(array_shape, scenario: Scenario, what: str):
         raise ValueError(f"{what} shape {tuple(array_shape)} does not match surface {expected}")
 
 
+def incident_power(r1, scenario: Scenario):
+    """Power impinging on one element, (lambda/4pi)^2 P_t G_t 4 cos(th_i) / r1^2
+    with cos(th_i) = y_s/r1, at the center distance r1 (scalar or array)."""
+    lam = scenario.wavelength_m
+    return ((lam / (4.0 * math.pi)) ** 2 * scenario.transmit_power_w * scenario.tx_gain
+            * 4.0 * (scenario.lateral_offset_m / r1) / r1 ** 2)
+
+
+def harvest_ceiling(r1, scenario: Scenario):
+    """Harvested power when every element absorbs fully (A = 0):
+    eps_conv * M_s * P_inc = C * y_s / r1^3. A uniform amplitude A harvests
+    (1 - A^2) of it."""
+    return scenario.conversion_efficiency * scenario.m_s * incident_power(r1, scenario)
+
+
+def _snr_constant(r1h_m: float, scenario: Scenario) -> float:
+    """Per-element incident power times the second hop's
+    G_r (lambda/4pi)^2 4 cos(th_r) / r2^2 over the noise power, with
+    cos(th_r) = y_s/r2. In this order no partial product exceeds the result,
+    so a large transmit power overflows nothing before the SNR itself."""
+    lam = scenario.wavelength_m
+    r1, r2 = geometry.center_distances(r1h_m, scenario)
+    hop2 = ((lam / (4.0 * math.pi)) ** 2 * scenario.rx_gain
+            * 4.0 * (scenario.lateral_offset_m / r2) / r2 ** 2)
+    return incident_power(r1, scenario) * hop2 / scenario.noise_w
+
+
 def snr_explicit(r1h_m: float, reflection: ReflectionState, scenario: Scenario):
     """Received SNR with the explicit per-element complex sum.
 
     snr = (lambda/4pi)^4 * P_t G_t G_r G_s(th_i) G_s(th_r) / (r1^2 r2^2 sigma^2)
           * |sum_pl A_pl exp(-j(phi_pl + 2pi(r1pl + r2pl)/lambda))|^2
 
-    Reflection arrays of shape (..., rows, cols) hold a batch of profiles;
-    only the trailing two axes must match the surface. Geometry, constant and
-    propagation phase are computed once per call and the sum runs over the
-    last two axes. Returns a float for one (rows, cols) profile, else an
-    array of shape (...). The reduction is numpy's pairwise summation in a
-    fixed order, so results are reproducible bit-for-bit, batched or not.
+    with G_s(th) = 4 cos(th) at the center. Reflection arrays of shape
+    (..., rows, cols) hold a batch of profiles; only the trailing two axes
+    must match the surface. Geometry, constant and propagation phase are
+    computed once per call and the sum runs over the last two axes. Returns a
+    float for one (rows, cols) profile, else an array of shape (...). The
+    reduction is numpy's pairwise summation in a fixed order, so results are
+    reproducible bit-for-bit, batched or not.
     """
     _check_shape(reflection.shape[-2:], scenario, "reflection state")
-    lam = scenario.wavelength_m
-    r1, r2 = geometry.center_distances(r1h_m, scenario)
-    th_i = geometry.incidence_angle(r1h_m, scenario)
-    th_r = geometry.departure_angle(r1h_m, scenario)
-    const = (
-        (lam / (4.0 * math.pi)) ** 4
-        * scenario.transmit_power_w * scenario.tx_gain * scenario.rx_gain
-        * element_gain(th_i) * element_gain(th_r)
-        / (r1 ** 2 * r2 ** 2 * scenario.noise_w)
-    )
+    const = _snr_constant(r1h_m, scenario)
     psi = path_phase_rad(r1h_m, geometry.element_grid(scenario), scenario)
     terms = reflection.amplitudes * np.exp(-1j * (reflection.phases + psi))
     total = np.sum(terms, axis=(-2, -1))
@@ -119,44 +134,27 @@ def snr_cophased(r1h_m: float, uniform_a: float, scenario: Scenario) -> float:
     """Received SNR when all elements are co-phased at uniform amplitude.
 
     Closed form 16 * P_t G_t G_r (lambda/4pi)^4 M_s^2 A^2
-    * cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2); the 16 absorbs both element
-    gains. Computed as base * A^2 so the quadratic amplitude law is exact.
+    * cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2). The base (the SNR at A = 1)
+    is built from the per-element incident power, so it overflows only when
+    that SNR does, which is refused with a ConfigError. Computed as
+    base * A^2 so the quadratic amplitude law is exact.
     """
     if not 0.0 <= uniform_a <= 1.0:
         raise ValueError("uniform_a must lie in [0, 1]")
-    lam = scenario.wavelength_m
-    r1, r2 = geometry.center_distances(r1h_m, scenario)
-    th_i = geometry.incidence_angle(r1h_m, scenario)
-    th_r = geometry.departure_angle(r1h_m, scenario)
-    base = (
-        16.0 * scenario.transmit_power_w * scenario.tx_gain * scenario.rx_gain
-        * (lam / (4.0 * math.pi)) ** 4 * float(scenario.m_s) ** 2
-        * math.cos(th_i) * math.cos(th_r)
-        / (r1 ** 2 * r2 ** 2 * scenario.noise_w)
-    )
+    m_s = float(scenario.m_s)
+    base = _snr_constant(r1h_m, scenario) * m_s * m_s
+    if base == math.inf:
+        raise ConfigError(f"the SNR at r1h = {float(r1h_m)!r} m overflows a float: "
+                          f"transmit_power_w = {scenario.transmit_power_w!r} W is too large "
+                          f"for the antenna gains and the noise power")
     return base * (uniform_a * uniform_a)
-
-
-def incident_power(r1, th_i, scenario: Scenario):
-    """Power impinging on one element, (lambda/4pi)^2 P_t G_t 4 cos(th_i) / r1^2,
-    with the center distance and incidence angle (scalar or array)."""
-    lam = scenario.wavelength_m
-    return ((lam / (4.0 * math.pi)) ** 2 * scenario.transmit_power_w * scenario.tx_gain
-            * element_gain(th_i) / (r1 ** 2))
-
-
-def harvest_ceiling(r1, th_i, scenario: Scenario):
-    """Harvested power when every element absorbs fully (A = 0):
-    eps_conv * M_s * P_inc. A uniform amplitude A harvests (1 - A^2) of it."""
-    return scenario.conversion_efficiency * scenario.m_s * incident_power(r1, th_i, scenario)
 
 
 def absorbed_power_element(a: float, r1h_m: float, scenario: Scenario) -> float:
     """Power absorbed by one element at reflection amplitude a:
     (1 - a^2) * P_inc at the center geometry of placement r1h."""
     r1, _ = geometry.center_distances(r1h_m, scenario)
-    th_i = geometry.incidence_angle(r1h_m, scenario)
-    return (1.0 - a * a) * incident_power(r1, th_i, scenario)
+    return (1.0 - a * a) * incident_power(r1, scenario)
 
 
 def harvested_power(r1h_m: float, amplitudes, scenario: Scenario) -> float:
@@ -195,7 +193,7 @@ def link_report(
 
 __all__ = [
     "ReflectionState", "LinkReport",
-    "element_gain", "phase_mod_2pi", "path_phase_rad",
+    "phase_mod_2pi", "path_phase_rad",
     "snr_explicit", "snr_cophased", "absorbed_power_element",
     "harvested_power", "link_report",
 ]

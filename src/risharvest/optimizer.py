@@ -77,50 +77,45 @@ def optimal_phases(r1h_m: float, scenario: Scenario) -> np.ndarray:
     return -link.path_phase_rad(r1h_m, grid, scenario)
 
 
-def _harvest_factor(r1h_m, scenario: Scenario):
-    """Harvest ceiling (link.harvest_ceiling) at placement r1h."""
-    r1, _ = geometry.center_distances(r1h_m, scenario)
-    return link.harvest_ceiling(r1, geometry.incidence_angle(r1h_m, scenario), scenario)
-
-
-def _amplitude_radicand(ceiling, p_ris_w: float):
-    """1 - P_ris / harvest ceiling; the square of the optimal amplitude."""
-    return 1.0 - p_ris_w / ceiling
-
-
 def _amplitude(ceiling, p_ris_w: float) -> float | None:
-    """sqrt of the radicand at this ceiling, or None when it is negative."""
+    """sqrt(1 - P_ris / ceiling), or None when P_ris exceeds the ceiling. The
+    comparison comes first, so the quotient is at most 1 and cannot overflow."""
     if p_ris_w < 0:
         raise ValueError("p_ris_w must be nonnegative")
-    radicand = float(_amplitude_radicand(ceiling, p_ris_w))
-    return math.sqrt(radicand) if radicand >= 0.0 else None
+    if p_ris_w > ceiling:
+        return None
+    return math.sqrt(1.0 - p_ris_w / ceiling)
 
 
 def optimal_amplitude(r1h_m: float, p_ris_w: float, scenario: Scenario) -> float | None:
     """Uniform amplitude meeting the harvest equality at this placement.
 
-    A* = sqrt(1 - P_ris * r1^2 / (4 M_s eps_conv (lambda/4pi)^2 P_t G_t
-    cos(th_i))). Returns None when the radicand is negative (the surface
-    cannot cover its consumption here even fully absorbing), 0.0 when the
-    ceiling is met exactly, and 1.0 at zero consumption (boundary case).
+    A* = sqrt(1 - P_ris / ceiling) with the ceiling C * y_s / r1^3 of
+    link.harvest_ceiling. Returns None when P_ris exceeds the ceiling (the
+    surface cannot cover its consumption here even fully absorbing), 0.0
+    when the ceiling is met exactly, and 1.0 at zero consumption (boundary
+    case).
     """
-    return _amplitude(_harvest_factor(r1h_m, scenario), p_ris_w)
+    r1, _ = geometry.center_distances(r1h_m, scenario)
+    return _amplitude(link.harvest_ceiling(r1, scenario), p_ris_w)
 
 
 def placement_objective(r1h_m, p_ris_w: float, scenario: Scenario):
     """Reduced placement objective after phases and amplitude are eliminated.
 
-    G(r1h) = cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2) * (1 - P_ris / ceiling),
-    with the ceiling of link.harvest_ceiling; one center-geometry evaluation
-    per point feeds both factors. Negative where the placement is infeasible;
-    the search never selects those values. Accepts scalar or array r1h. The
-    optimal SNR is 16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
+    G(r1h) = cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2) * (1 - P_ris / ceiling)
+           = y_s^2 / (sigma^2 (r1 r2)^3) * (1 - P_ris / ceiling),
+    with cos(th) = y_s/r and the ceiling of link.harvest_ceiling; one
+    center_distances call per point feeds both factors, and the first form's
+    order keeps (r1 r2)^3 from overflowing on long spans. Negative where the
+    placement is infeasible; the search never selects those values. Accepts
+    scalar or array r1h. The optimal SNR is
+    16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
     """
     r1, r2 = geometry.center_distances(r1h_m, scenario)
-    th_i = geometry.incidence_angle(r1h_m, scenario)
-    th_r = geometry.departure_angle(r1h_m, scenario)
-    snr_shape = np.cos(th_i) * np.cos(th_r) / (r1 ** 2 * r2 ** 2 * scenario.noise_w)
-    return snr_shape * _amplitude_radicand(link.harvest_ceiling(r1, th_i, scenario), p_ris_w)
+    ys = scenario.lateral_offset_m
+    snr_shape = (ys / r1) * (ys / r2) / (r1 ** 2 * r2 ** 2 * scenario.noise_w)
+    return snr_shape * (1.0 - p_ris_w / link.harvest_ceiling(r1, scenario))
 
 
 def evaluate_placement(
@@ -132,7 +127,8 @@ def evaluate_placement(
     """Closed-form solution at a fixed placement (no search): A* and the
     harvested power (1 - A^2) * ceiling come from one harvest-ceiling value."""
     p_ris = scenario.p_ris_w if p_ris_w is None else p_ris_w
-    ceiling = _harvest_factor(r1h_m, scenario)
+    r1, _ = geometry.center_distances(r1h_m, scenario)
+    ceiling = link.harvest_ceiling(r1, scenario)
     a = _amplitude(ceiling, p_ris)
     if a is None:
         return PlacementSolution(
@@ -177,19 +173,19 @@ def _golden_section_max(g, lo: float, hi: float, iterations: int) -> float:
 def _feasible_limit_m(p_ris_w: float, scenario: Scenario) -> float | None:
     """Largest feasible r1h, or None when not even r1h = 0 is feasible.
 
-    With cos(th_i) = y_s/r1 the harvest ceiling is C*y_s/r1^3, which falls as
-    r1h grows, so the feasible placements are [0, r1h_f]: r1_f = r1(0) *
-    (ceiling(0)/P_ris)^(1/3) and r1h_f^2 = r1_f^2 - r1(0)^2. Infinite at zero
-    consumption.
+    The harvest ceiling C*y_s/r1^3 falls as r1h grows, so the feasible
+    placements are [0, r1h_f]: r1_f = r1(0) * (ceiling(0)/P_ris)^(1/3) and
+    r1h_f^2 = r1_f^2 - r1(0)^2. Infinite at zero consumption. P_ris is
+    compared with the ceiling before either divides the other.
     """
-    ceiling_0 = _harvest_factor(0.0, scenario)
-    if not _amplitude_radicand(ceiling_0, p_ris_w) > 0.0:
+    r1_0, _ = geometry.center_distances(0.0, scenario)
+    ceiling_0 = link.harvest_ceiling(r1_0, scenario)
+    if not p_ris_w < ceiling_0:
         return None
     if p_ris_w == 0.0:
         return math.inf
-    r1_0, _ = geometry.center_distances(0.0, scenario)
     # Python floats: a vanishing P_ris gives inf, not a numpy overflow warning
-    r1_f = r1_0 * (float(ceiling_0) / p_ris_w) ** (1.0 / 3.0)
+    r1_f = r1_0 * (ceiling_0 / p_ris_w) ** (1.0 / 3.0)
     return math.sqrt(max(r1_f * r1_f - r1_0 * r1_0, 0.0))
 
 
@@ -224,6 +220,11 @@ def solve_placement(scenario: Scenario) -> PlacementSolution:
     grid = grid[: np.searchsorted(grid, limit, side="right") + 1]
     objective = placement_objective(grid, p_ris, scenario)
     feasible = objective > 0.0
+    if not feasible[0]:
+        # r1h = 0 is feasible, so its objective is 0 only by underflow
+        raise ValueError(f"the placement objective underflows to 0 at r1h = 0: "
+                         f"txrx_horizontal_m = {r_h!r} m or the noise power "
+                         f"{scenario.noise_w!r} W is too large")
     curve = np.column_stack((grid[feasible], objective[feasible]))
 
     # np.argmax takes the first (lowest-r) max

@@ -70,7 +70,7 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
     for start in range(0, n_columns, block):
         r_grid = r1h_step_m * np.arange(start, min(start + block, n_columns))
         r1, _ = geometry.center_distances(r_grid, scenario)
-        ceiling = link.harvest_ceiling(r1, geometry.incidence_angle(r_grid, scenario), scenario)
+        ceiling = link.harvest_ceiling(r1, scenario)
         keep = ceiling >= p_ris
         if not keep.any():
             continue

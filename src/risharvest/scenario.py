@@ -182,7 +182,7 @@ class Scenario:
         if not math.isfinite(self.txrx_horizontal_m * self.txrx_horizontal_m):
             raise ConfigError("txrx_horizontal_m must have a finite square")
         # ceiling at r1h = 0, 4 eps M_s const y_s / r1^3; below the normal floats
-        # P_ris / ceiling and the angles' tangents overflow
+        # P_ris / ceiling overflows in the placement objective
         r1_0 = math.sqrt(self.lateral_offset_m ** 2 + (self.ris_height_m - self.tx_height_m) ** 2)
         ceiling_0 = (4.0 * p_inc_const * self.conversion_efficiency * self.m_s
                      * self.lateral_offset_m / r1_0 / r1_0 / r1_0) if r1_0 else math.inf

@@ -252,16 +252,24 @@ def test_validate_default_passes(default_config_path, capsys):
 
 
 def test_validate_loose_grid_fails_classified(default_config_path, capsys):
-    # a 2 m lattice cannot land within the 0.5 m placement tolerance here,
-    # and the report must both show the widened delta and fail loudly
+    # a 2 m lattice cannot land within the 0.5 m placement tolerance, so it
+    # is refused as a usage error before anything runs
     code, out, err = run_cli(
         capsys, "validate", "--config", str(default_config_path), "--r1h-step", "2.0",
     )
-    assert code == EXIT_VALIDATION
-    kv = parse_kv(out)
-    assert kv["verdict"] == "fail"
-    assert float(kv["delta_r1h_m"]) > 0.5
-    assert "FAIL: placement delta exceeds tolerance" in err
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: --r1h-step 2.0 is coarser than the 0.5 m placement tolerance\n"
+
+
+@pytest.mark.parametrize("value", ["0.5000000000000001", "1000"])
+def test_validate_r1h_step_above_tolerance_refused(default_config_path, capsys, value):
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path),
+                             "--r1h-step", value)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"config error: --r1h-step {float(value)!r} is coarser")
+    assert err.count("\n") == 1
 
 
 def test_validate_zero_oracle_snr_fails_classified(default_config_path, capsys):
@@ -414,7 +422,7 @@ def test_numeric_overflow_is_one_line_error(default_config_path, capsys, overrid
     # P_t * G_t overflows: the SNR would read inf and the harvest 0 W
     ("transmit_power_w=1e308", "config error: the incident-power constant"),
     ("transmit_power_w=1e-320", "config error: the incident-power constant"),
-    # a subnormal harvest ceiling overflows P_ris / ceiling and tan(th_i)
+    # a subnormal harvest ceiling overflows P_ris / ceiling
     ("conversion_efficiency=1e-320", "config error: the harvest ceiling"),
     ("lateral_offset_m=1e-320", "config error: the harvest ceiling"),
     ("txrx_horizontal_m=1e300", "config error: txrx_horizontal_m must have a finite square"),
@@ -426,6 +434,33 @@ def test_subnormal_or_huge_finite_values_refused(default_config_path, capsys, ov
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, override, code, expected", [
+    # P_ris near the float maximum is compared with the ceiling, never divided by it
+    ("solve", "p_chip_w=1e304", EXIT_INFEASIBLE, "feasible = false\n"),
+    ("select-site", "p_chip_w=1e304", EXIT_INFEASIBLE, "selected_index = none\n"),
+    # P_t near the float maximum: the SNR is built from the finite incident power
+    ("solve", "transmit_power_w=1e300", EXIT_OK, "snr_opt_db = 3056.49"),
+    ("solve", "transmit_power_w=1e303", EXIT_CONFIG,
+     "overflows a float: transmit_power_w = 1e+303"),
+    # a 1e60 m span: the SNR follows cos(th_r) = y_s/r2 far below 1e-16
+    ("solve", "txrx_horizontal_m=1e60", EXIT_OK, "snr_opt_db = -1683.607562413"),
+    ("solve", "txrx_horizontal_m=1e120", EXIT_CONFIG,
+     "underflows to 0 at r1h = 0: txrx_horizontal_m"),
+], ids=["solve_huge_draw", "select_site_huge_draw", "huge_tx_power", "snr_overflow",
+        "far_span", "objective_underflow"])
+def test_extreme_finite_values_exit_cleanly(default_config_path, sites_config_path, capsys,
+                                            command, override, code, expected):
+    argv = [command, "--config", str(default_config_path), "--override", override]
+    if command == "select-site":
+        argv += ["--sites", str(sites_config_path)]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code == EXIT_CONFIG:
+        assert out == "" and expected in err and err.count("\n") == 1
+    else:
+        assert expected in out and err == ""
 
 
 @pytest.mark.parametrize("overrides, message", [

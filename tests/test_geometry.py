@@ -1,4 +1,5 @@
-"""Offset grids, center/per-element distances, and angles vs a 3-D coordinate oracle.
+"""Offset grids, center/per-element distances, and the center cosines
+cos(th) = y_s/r vs a 3-D coordinate oracle.
 
 The oracle places TX at (0, 0, h_t), element (p, l) at (r1h - d_p, y_s, h_s - d_l)
 and RX at (r_h, 0, h_r), then measures plain Euclidean distances.
@@ -13,11 +14,9 @@ from risharvest import (
     ElementGrid,
     center_distances,
     default_scenario,
-    departure_angle,
     element_distances,
     element_grid,
     element_offsets,
-    incidence_angle,
 )
 
 LAM = 299_792_458.0 / 28e9
@@ -161,32 +160,36 @@ def test_triangle_inequality_against_center(scenario):
         assert np.all(np.abs(r2pl - r2) <= bound)
 
 
-# --------------------------------------------------------------------- angles
+# ------------------------------------------------ center cosines y_s/r1, y_s/r2
 
 
 def test_broadside_incidence():
+    # TX level with the surface and r1h = 0: the TX lies on the normal
     sc = default_scenario(ris_height_m=3.0, tx_height_m=3.0)
-    assert incidence_angle(0.0, sc) == 0.0
+    r1, _ = center_distances(0.0, sc)
+    assert sc.lateral_offset_m / r1 == 1.0
 
 
 def test_incidence_angle_table_point(scenario):
-    got = incidence_angle(10.0, scenario)
-    assert got == pytest.approx(math.atan(math.sqrt(100 + 81) / 5), rel=1e-12)
-    assert got == pytest.approx(1.2149684442983177, rel=1e-12)
-    # coarse published rounding of the same expression
-    assert got == pytest.approx(1.2165, abs=2e-3)
+    # th_i = atan(sqrt(r1h^2 + dz_t^2) / y_s) at r1h = 10 m, dz_t = 9 m, y_s = 5 m
+    r1, _ = center_distances(10.0, scenario)
+    cos_i = scenario.lateral_offset_m / r1
+    assert cos_i == pytest.approx(math.cos(math.atan(math.sqrt(100 + 81) / 5)), rel=1e-12)
+    assert cos_i == pytest.approx(math.cos(1.2149684442983177), rel=1e-12)
+    assert cos_i == pytest.approx(5 / math.sqrt(206), rel=1e-15)
 
 
 def test_broadside_departure():
     sc = default_scenario(ris_height_m=6.0, rx_height_m=6.0)
-    assert departure_angle(sc.txrx_horizontal_m, sc) == 0.0
+    _, r2 = center_distances(sc.txrx_horizontal_m, sc)
+    assert sc.lateral_offset_m / r2 == 1.0
 
 
 def test_angle_monotonicity(scenario):
+    # moving toward the RX tilts the TX away from the normal and the RX toward it
     r = np.linspace(0.0, scenario.txrx_horizontal_m, 401)
-    ti = incidence_angle(r, scenario)
-    tr = departure_angle(r, scenario)
-    assert np.all(np.diff(ti) > 0)
-    assert np.all(np.diff(tr) < 0)
-    assert np.all(ti >= 0) and np.all(ti < math.pi / 2)
-    assert np.all(tr >= 0) and np.all(tr < math.pi / 2)
+    r1, r2 = center_distances(r, scenario)
+    cos_i, cos_r = scenario.lateral_offset_m / r1, scenario.lateral_offset_m / r2
+    assert np.all(np.diff(cos_i) < 0)
+    assert np.all(np.diff(cos_r) > 0)
+    assert np.all((cos_i > 0) & (cos_i <= 1)) and np.all((cos_r > 0) & (cos_r <= 1))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risharvest import (
     ReflectionState,
@@ -16,13 +18,19 @@ from risharvest import (
     snr_cophased,
     snr_explicit,
 )
-from risharvest.geometry import (
-    center_distances,
-    departure_angle,
-    element_distances,
-    incidence_angle,
-)
-from risharvest.link import element_gain, path_phase_rad, phase_mod_2pi
+from risharvest.geometry import center_distances, element_distances
+from risharvest.link import harvest_ceiling, incident_power, path_phase_rad, phase_mod_2pi
+
+
+def arctan_cosines(r1h_m, scenario):
+    # cos(th_i), cos(th_r) from the incidence and departure angles, formed
+    # with arctan as an independent route to the kernel's y_s/r1 and y_s/r2
+    ys = scenario.lateral_offset_m
+    dz_t = scenario.ris_height_m - scenario.tx_height_m
+    dz_r = scenario.ris_height_m - scenario.rx_height_m
+    th_i = math.atan(math.sqrt(r1h_m**2 + dz_t**2) / ys)
+    th_r = math.atan(math.sqrt((scenario.txrx_horizontal_m - r1h_m) ** 2 + dz_r**2) / ys)
+    return math.cos(th_i), math.cos(th_r)
 
 
 def co_phased_state(r1h_m, a, scenario):
@@ -44,8 +52,13 @@ def test_reflection_state_validation():
 
 
 def test_element_gain_values():
-    assert element_gain(0.0) == 4.0
-    assert element_gain(math.pi / 3) == pytest.approx(2.0, rel=1e-15)
+    # the element gain 4 cos(th_i) is 4 at broadside and 2 at 60 degrees
+    sc = default_scenario(lateral_offset_m=5.0, ris_height_m=3.0, tx_height_m=3.0)
+    lam = sc.wavelength_m
+    for r1h, gain in ((0.0, 4.0), (math.sqrt(75.0), 2.0)):
+        r1, _ = center_distances(r1h, sc)
+        free_space = (lam / (4 * math.pi)) ** 2 * sc.transmit_power_w * sc.tx_gain / r1**2
+        assert incident_power(r1, sc) == pytest.approx(gain * free_space, rel=1e-14)
 
 
 def test_phase_mod_2pi():
@@ -105,16 +118,15 @@ def test_2x2_matches_handrolled_oracle(tiny_scenario):
     grid = element_grid(tiny_scenario)
     lam = tiny_scenario.wavelength_m
     r1, r2 = center_distances(3.0, tiny_scenario)
-    th_i = incidence_angle(3.0, tiny_scenario)
-    th_r = departure_angle(3.0, tiny_scenario)
+    cos_i, cos_r = arctan_cosines(3.0, tiny_scenario)
     r1pl, r2pl = element_distances(3.0, grid, tiny_scenario)
     const = (
         (lam / (4 * math.pi)) ** 4
         * tiny_scenario.transmit_power_w
         * tiny_scenario.tx_gain
         * tiny_scenario.rx_gain
-        * (4 * math.cos(th_i))
-        * (4 * math.cos(th_r))
+        * (4 * cos_i)
+        * (4 * cos_r)
         / (r1**2 * r2**2 * tiny_scenario.noise_w)
     )
     for _ in range(25):
@@ -186,13 +198,13 @@ def test_full_reflection_absorbs_nothing(scenario):
 def test_absorbed_power_table_point(scenario):
     lam = scenario.wavelength_m
     r1, _ = center_distances(10.0, scenario)
-    th_i = incidence_angle(10.0, scenario)
+    cos_i, _ = arctan_cosines(10.0, scenario)
     expected = (
         (lam / (4 * math.pi)) ** 2
         * scenario.transmit_power_w
         * scenario.tx_gain
         * 4
-        * math.cos(th_i)
+        * cos_i
         / r1**2
     )
     got = absorbed_power_element(0.0, 10.0, scenario)
@@ -243,6 +255,35 @@ def test_harvest_ceiling_near_tx(scenario):
     assert got == pytest.approx(total, rel=1e-9)
     assert got == pytest.approx(0.10823881367070927, rel=1e-9)
     assert 0.05 < got < 0.2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({
+    "lateral_offset_m": st.floats(1.0, 40.0),
+    "txrx_horizontal_m": st.floats(20.0, 400.0),
+    "tx_height_m": st.floats(1.0, 20.0),
+    "rx_height_m": st.floats(1.0, 20.0),
+    "ris_height_m": st.floats(1.0, 30.0),
+    "ris_rows": st.integers(1, 60),
+    "ris_cols": st.integers(1, 60),
+    "transmit_power_w": st.floats(1e-3, 10.0),
+    "conversion_efficiency": st.floats(0.05, 0.95),
+}), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_kernel_matches_arctan_route(params, fraction, a):
+    # the harvest ceiling and the co-phased SNR from (r1, r2) alone equal the
+    # angle-based closed forms; at r/y_s <= 400, cos(arctan(.)) itself is
+    # within about 1e-13
+    sc = default_scenario(**params)
+    r1h = fraction * sc.txrx_horizontal_m
+    r1, r2 = center_distances(r1h, sc)
+    cos_i, cos_r = arctan_cosines(r1h, sc)
+    free_space = (sc.wavelength_m / (4 * math.pi)) ** 2
+    ceiling = (sc.conversion_efficiency * sc.m_s * free_space * sc.transmit_power_w
+               * sc.tx_gain * 4 * cos_i / r1**2)
+    snr = (16 * sc.transmit_power_w * sc.tx_gain * sc.rx_gain * free_space**2 * sc.m_s**2
+           * a**2 * cos_i * cos_r / (r1**2 * r2**2 * sc.noise_w))
+    assert harvest_ceiling(r1, sc) == pytest.approx(ceiling, rel=1e-12)
+    assert snr_cophased(r1h, a, sc) == pytest.approx(snr, rel=1e-12, abs=0.0)
 
 
 def test_harvest_monotone_in_amplitude(scenario):

@@ -1,5 +1,6 @@
 """Closed-form phases/amplitude, reduced placement objective, search, site pick."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from risharvest import (
 )
 from risharvest import geometry as geometry_module
 from risharvest import optimizer as optimizer_module
-from risharvest.geometry import center_distances, departure_angle, incidence_angle
+from risharvest.geometry import center_distances
 from risharvest.link import path_phase_rad
 from risharvest.oracle import brute_force_solve
 
@@ -110,13 +111,15 @@ def test_amplitude_meets_harvest_equality(scenario):
 
 
 def test_objective_reduces_to_pure_snr_shape(scenario):
+    # at zero draw G = cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2), with the
+    # angles formed here by arctan
     r = np.linspace(0.5, 99.5, 31)
     r1, r2 = center_distances(r, scenario)
-    pure = (
-        np.cos(incidence_angle(r, scenario))
-        * np.cos(departure_angle(r, scenario))
-        / (r1**2 * r2**2 * scenario.noise_w)
-    )
+    ys = scenario.lateral_offset_m
+    th_i = np.arctan(np.sqrt(r**2 + (scenario.ris_height_m - scenario.tx_height_m) ** 2) / ys)
+    th_r = np.arctan(np.sqrt((scenario.txrx_horizontal_m - r) ** 2
+                             + (scenario.ris_height_m - scenario.rx_height_m) ** 2) / ys)
+    pure = np.cos(th_i) * np.cos(th_r) / (r1**2 * r2**2 * scenario.noise_w)
     got = placement_objective(r, 0.0, scenario)
     assert got == pytest.approx(pure, rel=1e-12)
 
@@ -153,17 +156,36 @@ def test_objective_continuity(scenario):
     assert jumps[1] < jumps[0] and jumps[2] < jumps[1]
 
 
+def count_geometry_calls(monkeypatch):
+    # every public geometry function, wrapped to record its name per call
+    calls = []
+    for name in geometry_module.__all__:
+        fn = getattr(geometry_module, name)
+        if inspect.isfunction(fn):
+            def counted(*args, name=name, fn=fn, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(geometry_module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("r1h", [7.3, np.linspace(0.0, 100.0, 11)], ids=["scalar", "array"])
 def test_objective_evaluates_center_geometry_once(monkeypatch, scenario, r1h):
-    # the SNR shape and the harvest ceiling share one evaluation per point
-    counts = dict.fromkeys(("center_distances", "incidence_angle", "departure_angle"), 0)
-    for name in counts:
-        def counted(*args, name=name, fn=getattr(geometry_module, name), **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(geometry_module, name, counted)
+    # the SNR shape and the harvest ceiling share one (r1, r2) evaluation
+    calls = count_geometry_calls(monkeypatch)
     placement_objective(r1h, scenario.p_ris_w, scenario)
-    assert counts == {"center_distances": 1, "incidence_angle": 1, "departure_angle": 1}
+    assert calls == ["center_distances"]
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda sc: snr_cophased(7.3, 0.5, sc),
+    lambda sc: evaluate_placement(sc, 7.3),
+], ids=["snr_cophased", "evaluate_placement"])
+def test_closed_forms_reach_geometry_only_through_center_distances(monkeypatch, scenario,
+                                                                    evaluate):
+    calls = count_geometry_calls(monkeypatch)
+    evaluate(scenario)
+    assert calls and set(calls) == {"center_distances"}
 
 
 # ----------------------------------------------------------------- evaluation
@@ -280,8 +302,7 @@ def stationarity(x, scenario):
     "rx_height_m": st.floats(1.0, 40.0),
     "ris_height_m": st.floats(1.0, 40.0),
 }), st.floats(0.0, 0.99))
-# at r2/y_s = 15,000, cos(th_r) from arctan carries 1e-12 relative noise:
-# 40 iterations stop 6.9e-7 m = 1.2e-6 r1 from the optimum
+# a far-field corner, r2/y_s = 15,000
 @example({"txrx_horizontal_m": 4771.0, "lateral_offset_m": 0.3125, "tx_height_m": 10.0,
           "rx_height_m": 2.0, "ris_height_m": 9.526867885115209}, 0.0)
 # a mirror-symmetric zero-draw scene whose maximum at the midpoint is quartic:
