@@ -14,63 +14,19 @@ import os
 # spin for ~0.1 s of CPU per process and make short runs' wall time jumpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .scenario import (
-    ConfigError,
-    PowerModel,
-    Scenario,
-    apply_overrides,
-    build_scenario,
-    default_scenario,
-    load_scenario,
-    noise_power_w,
-    parabolic_gain,
-    parse_config_text,
-    ris_power_consumption,
-    save_scenario,
-    scenario_to_text,
-)
-from .geometry import (
-    ElementGrid,
-    center_distances,
-    element_distances,
-    element_grid,
-    element_offsets,
-)
-from .link import (
-    LinkReport,
-    ReflectionState,
-    absorbed_power_element,
-    harvested_power,
-    link_report,
-    snr_cophased,
-    snr_explicit,
-)
-from .optimizer import (
-    PlacementSolution,
-    SiteCandidate,
-    SiteSelection,
-    evaluate_placement,
-    optimal_amplitude,
-    optimal_phases,
-    placement_objective,
-    select_site,
-    solve_placement,
-)
-from .oracle import OracleResult, brute_force_solve, exhaustive_phase_search
+from .link import ReflectionState, snr_cophased, snr_explicit
+from .optimizer import SiteCandidate, optimal_phases, select_site, solve_placement
+from .oracle import brute_force_solve, exhaustive_phase_search
+from .scenario import PowerModel, default_scenario
 
 __version__ = "0.1.0"
 
+# the names the README and the demos import; everything else is imported
+# from its module
 __all__ = [
-    "ConfigError", "PowerModel", "Scenario", "default_scenario", "load_scenario",
-    "noise_power_w", "parabolic_gain", "ris_power_consumption", "save_scenario",
-    "apply_overrides", "build_scenario", "parse_config_text", "scenario_to_text",
-    "ElementGrid", "center_distances",
-    "element_distances", "element_grid", "element_offsets",
-    "LinkReport", "ReflectionState", "absorbed_power_element", "harvested_power",
-    "link_report", "snr_cophased", "snr_explicit",
-    "PlacementSolution", "SiteCandidate", "SiteSelection",
-    "evaluate_placement", "optimal_amplitude", "optimal_phases",
-    "placement_objective", "select_site", "solve_placement",
-    "OracleResult", "brute_force_solve", "exhaustive_phase_search",
+    "PowerModel", "default_scenario",
+    "ReflectionState", "snr_cophased", "snr_explicit",
+    "SiteCandidate", "optimal_phases", "select_site", "solve_placement",
+    "brute_force_solve", "exhaustive_phase_search",
     "__version__",
 ]

@@ -37,29 +37,18 @@ class ElementGrid:
         return self.d_p.shape
 
 
-def element_offsets(m_x: int, m_y: int, d_x_m: float, d_y_m: float) -> ElementGrid:
-    """Centered offset grid for an m_x-by-m_y surface.
+def element_grid(scenario: Scenario) -> ElementGrid:
+    """Centered offset grid matching the scenario's surface.
 
     1-indexed convention: element (p, l) has offsets
-    d_p = (p - (m_x + 1)/2) * d_x and d_l = (l - (m_y + 1)/2) * d_y,
+    d_p = (p - (M_x + 1)/2) * d_x and d_l = (l - (M_y + 1)/2) * d_y,
     which puts the grid centroid exactly at the surface center.
     """
-    if m_x < 1 or m_y < 1:
-        raise ValueError("grid dimensions must be at least 1")
-    p = np.arange(1, m_x + 1, dtype=float)
-    l = np.arange(1, m_y + 1, dtype=float)
-    dp = (p - (m_x + 1) / 2.0) * d_x_m
-    dl = (l - (m_y + 1) / 2.0) * d_y_m
+    m_x, m_y = scenario.ris_rows, scenario.ris_cols
+    dp = (np.arange(1, m_x + 1, dtype=float) - (m_x + 1) / 2.0) * scenario.element_dx_m
+    dl = (np.arange(1, m_y + 1, dtype=float) - (m_y + 1) / 2.0) * scenario.element_dy_m
     d_p, d_l = np.meshgrid(dp, dl, indexing="ij")
     return ElementGrid(d_p=d_p, d_l=d_l)
-
-
-def element_grid(scenario: Scenario) -> ElementGrid:
-    """Offset grid matching the scenario's surface dimensions."""
-    return element_offsets(
-        scenario.ris_rows, scenario.ris_cols,
-        scenario.element_dx_m, scenario.element_dy_m,
-    )
 
 
 def center_distances(r1h_m, scenario: Scenario):
@@ -92,7 +81,4 @@ def element_distances(r1h_m: float, grid: ElementGrid, scenario: Scenario):
     return r1pl, r2pl
 
 
-__all__ = [
-    "ElementGrid",
-    "element_offsets", "element_grid", "center_distances", "element_distances",
-]
+__all__ = ["ElementGrid", "element_grid", "center_distances", "element_distances"]

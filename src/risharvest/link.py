@@ -12,12 +12,13 @@ distances.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .scenario import ConfigError, Scenario, db
+from .scenario import ConfigError, Scenario
 
 
 @dataclass(frozen=True)
@@ -49,21 +50,6 @@ class ReflectionState:
         return self.amplitudes.shape
 
 
-@dataclass(frozen=True)
-class LinkReport:
-    """Evaluated link state at one placement."""
-
-    snr_linear: float
-    snr_db: float
-    p_harv_w: float
-    p_abs_per_element_w: np.ndarray | None = None
-
-
-def phase_mod_2pi(phi):
-    """Reduce phases to [0, 2*pi) for comparisons."""
-    return np.mod(phi, 2.0 * math.pi)
-
-
 def path_phase_rad(r1h_m: float, grid: geometry.ElementGrid, scenario: Scenario):
     """Per-element propagation phase 2*pi*(r1pl + r2pl)/lambda.
 
@@ -72,12 +58,6 @@ def path_phase_rad(r1h_m: float, grid: geometry.ElementGrid, scenario: Scenario)
     """
     r1pl, r2pl = geometry.element_distances(r1h_m, grid, scenario)
     return 2.0 * math.pi * (r1pl + r2pl) / scenario.wavelength_m
-
-
-def _check_shape(array_shape, scenario: Scenario, what: str):
-    expected = (scenario.ris_rows, scenario.ris_cols)
-    if tuple(array_shape) != expected:
-        raise ValueError(f"{what} shape {tuple(array_shape)} does not match surface {expected}")
 
 
 def incident_power(r1, scenario: Scenario):
@@ -99,12 +79,26 @@ def _snr_constant(r1h_m: float, scenario: Scenario) -> float:
     """Per-element incident power times the second hop's
     G_r (lambda/4pi)^2 4 cos(th_r) / r2^2 over the noise power, with
     cos(th_r) = y_s/r2. In this order no partial product exceeds the result,
-    so a large transmit power overflows nothing before the SNR itself."""
+    so a large transmit power overflows nothing before the SNR itself. A
+    partial product below the normal floats has lost its precision (or is 0),
+    which is refused with a ConfigError; Scenario already bounds
+    P_t G_t (lambda/4pi)^2."""
     lam = scenario.wavelength_m
     r1, r2 = geometry.center_distances(r1h_m, scenario)
-    hop2 = ((lam / (4.0 * math.pi)) ** 2 * scenario.rx_gain
-            * 4.0 * (scenario.lateral_offset_m / r2) / r2 ** 2)
-    return incident_power(r1, scenario) * hop2 / scenario.noise_w
+    free_space = (lam / (4.0 * math.pi)) ** 2
+    hop1 = incident_power(r1, scenario)
+    hop2_gain = free_space * scenario.rx_gain * 4.0 * (scenario.lateral_offset_m / r2)
+    hop2 = hop2_gain / r2 ** 2
+    both_hops = hop1 * hop2
+    const = both_hops / scenario.noise_w
+    partials = (free_space * scenario.transmit_power_w, hop1, hop2_gain, hop2, both_hops, const)
+    if min(partials) < sys.float_info.min:
+        raise ConfigError(f"the SNR at r1h = {float(r1h_m)!r} m underflows the normal floats: "
+                          f"txrx_horizontal_m = {scenario.txrx_horizontal_m!r} m, "
+                          f"lateral_offset_m = {scenario.lateral_offset_m!r} m or "
+                          f"transmit_power_w = {scenario.transmit_power_w!r} W leaves too "
+                          f"little signal for the antenna gains and the noise power")
+    return const
 
 
 def snr_explicit(r1h_m: float, reflection: ReflectionState, scenario: Scenario):
@@ -121,7 +115,10 @@ def snr_explicit(r1h_m: float, reflection: ReflectionState, scenario: Scenario):
     reduction is numpy's pairwise summation in a fixed order, so results are
     reproducible bit-for-bit, batched or not.
     """
-    _check_shape(reflection.shape[-2:], scenario, "reflection state")
+    expected = (scenario.ris_rows, scenario.ris_cols)
+    if reflection.shape[-2:] != expected:
+        raise ValueError(f"reflection state shape {reflection.shape[-2:]} does not match "
+                         f"surface {expected}")
     const = _snr_constant(r1h_m, scenario)
     psi = path_phase_rad(r1h_m, geometry.element_grid(scenario), scenario)
     terms = reflection.amplitudes * np.exp(-1j * (reflection.phases + psi))
@@ -150,50 +147,4 @@ def snr_cophased(r1h_m: float, uniform_a: float, scenario: Scenario) -> float:
     return base * (uniform_a * uniform_a)
 
 
-def absorbed_power_element(a: float, r1h_m: float, scenario: Scenario) -> float:
-    """Power absorbed by one element at reflection amplitude a:
-    (1 - a^2) * P_inc at the center geometry of placement r1h."""
-    r1, _ = geometry.center_distances(r1h_m, scenario)
-    return (1.0 - a * a) * incident_power(r1, scenario)
-
-
-def harvested_power(r1h_m: float, amplitudes, scenario: Scenario) -> float:
-    """Total harvested power for a per-element amplitude array.
-
-    eps_conv * sum_pl (1 - A_pl^2) * P_inc with the center-based incident
-    power P_inc shared by all elements. The sum is numpy pairwise.
-    """
-    amp = np.asarray(amplitudes, dtype=float)
-    _check_shape(amp.shape, scenario, "amplitude array")
-    p_inc = absorbed_power_element(0.0, r1h_m, scenario)
-    per_element = (1.0 - amp ** 2) * p_inc
-    return float(scenario.conversion_efficiency * np.sum(per_element))
-
-
-def link_report(
-    r1h_m: float,
-    reflection: ReflectionState,
-    scenario: Scenario,
-    per_element: bool = False,
-) -> LinkReport:
-    """Evaluate SNR and harvest for one reflection state at one placement."""
-    snr = snr_explicit(r1h_m, reflection, scenario)
-    p_harv = harvested_power(r1h_m, reflection.amplitudes, scenario)
-    p_abs = None
-    if per_element:
-        p_inc = absorbed_power_element(0.0, r1h_m, scenario)
-        p_abs = (1.0 - reflection.amplitudes ** 2) * p_inc
-    return LinkReport(
-        snr_linear=snr,
-        snr_db=db(snr) if snr > 0.0 else float("-inf"),
-        p_harv_w=p_harv,
-        p_abs_per_element_w=p_abs,
-    )
-
-
-__all__ = [
-    "ReflectionState", "LinkReport",
-    "phase_mod_2pi", "path_phase_rad",
-    "snr_explicit", "snr_cophased", "absorbed_power_element",
-    "harvested_power", "link_report",
-]
+__all__ = ["ReflectionState", "path_phase_rad", "snr_explicit", "snr_cophased"]

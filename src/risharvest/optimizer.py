@@ -77,29 +77,6 @@ def optimal_phases(r1h_m: float, scenario: Scenario) -> np.ndarray:
     return -link.path_phase_rad(r1h_m, grid, scenario)
 
 
-def _amplitude(ceiling, p_ris_w: float) -> float | None:
-    """sqrt(1 - P_ris / ceiling), or None when P_ris exceeds the ceiling. The
-    comparison comes first, so the quotient is at most 1 and cannot overflow."""
-    if p_ris_w < 0:
-        raise ValueError("p_ris_w must be nonnegative")
-    if p_ris_w > ceiling:
-        return None
-    return math.sqrt(1.0 - p_ris_w / ceiling)
-
-
-def optimal_amplitude(r1h_m: float, p_ris_w: float, scenario: Scenario) -> float | None:
-    """Uniform amplitude meeting the harvest equality at this placement.
-
-    A* = sqrt(1 - P_ris / ceiling) with the ceiling C * y_s / r1^3 of
-    link.harvest_ceiling. Returns None when P_ris exceeds the ceiling (the
-    surface cannot cover its consumption here even fully absorbing), 0.0
-    when the ceiling is met exactly, and 1.0 at zero consumption (boundary
-    case).
-    """
-    r1, _ = geometry.center_distances(r1h_m, scenario)
-    return _amplitude(link.harvest_ceiling(r1, scenario), p_ris_w)
-
-
 def placement_objective(r1h_m, p_ris_w: float, scenario: Scenario):
     """Reduced placement objective after phases and amplitude are eliminated.
 
@@ -124,17 +101,26 @@ def evaluate_placement(
     p_ris_w: float | None = None,
     objective_curve: np.ndarray | None = None,
 ) -> PlacementSolution:
-    """Closed-form solution at a fixed placement (no search): A* and the
-    harvested power (1 - A^2) * ceiling come from one harvest-ceiling value."""
+    """Closed-form solution at a fixed placement (no search).
+
+    A* = sqrt(1 - P_ris / ceiling) and the harvested power (1 - A^2) * ceiling
+    come from one value of link.harvest_ceiling. Infeasible when P_ris exceeds
+    the ceiling; the comparison comes first, so the quotient is at most 1.
+    A* is a boundary value only at zero consumption (A* = 1) and when the
+    radicand is exactly 0 (A* = 0); any other A* is clamped into
+    [_EPS_A, 1 - _EPS_A], so a radicand that rounds to 1 still harvests.
+    """
     p_ris = scenario.p_ris_w if p_ris_w is None else p_ris_w
+    if p_ris < 0:
+        raise ValueError("p_ris_w must be nonnegative")
     r1, _ = geometry.center_distances(r1h_m, scenario)
     ceiling = link.harvest_ceiling(r1, scenario)
-    a = _amplitude(ceiling, p_ris)
-    if a is None:
+    if p_ris > ceiling:
         return PlacementSolution(
             feasible=False, p_ris_w=p_ris, objective_curve=objective_curve,
         )
-    boundary = a == 0.0 or a == 1.0
+    a = math.sqrt(1.0 - p_ris / ceiling)
+    boundary = p_ris == 0.0 or a == 0.0
     if not boundary:
         a = min(max(a, _EPS_A), 1.0 - _EPS_A)
     snr = link.snr_cophased(r1h_m, a, scenario)
@@ -264,6 +250,6 @@ def select_site(candidates, p_ris_w: float | None = None) -> SiteSelection:
 
 __all__ = [
     "PlacementSolution", "SiteCandidate", "SiteSelection",
-    "optimal_phases", "optimal_amplitude", "placement_objective",
+    "optimal_phases", "placement_objective",
     "evaluate_placement", "solve_placement", "select_site",
 ]

@@ -34,10 +34,6 @@ def dbm_to_watts(p_dbm):
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(p_w):
-    return 10.0 * math.log10(p_w) + 30.0
-
-
 def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Thermal noise power in watts over the given bandwidth.
 
@@ -343,21 +339,6 @@ def format_value(value, none: str = "none") -> str:
     return repr(float(value))
 
 
-def scenario_to_text(scenario: Scenario) -> str:
-    """Serialize a Scenario back to the flat config format (loadable again)."""
-    lines = []
-    for key, owner in _CONFIG_KEYS:
-        value = getattr(scenario if owner is Scenario else scenario.power_model, key)
-        if value is not None:
-            lines.append(f"{key} = {format_value(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scenario_to_text(scenario))
-
-
 def default_scenario(**changes) -> Scenario:
     """Reference 28 GHz street-canyon deployment used by demos and tests.
 
@@ -395,9 +376,9 @@ def default_scenario(**changes) -> Scenario:
 
 __all__ = [
     "SPEED_OF_LIGHT_M_S", "ConfigError", "PowerModel", "Scenario",
-    "db", "dbm_to_watts", "watts_to_dbm",
+    "db", "dbm_to_watts",
     "noise_power_w", "parabolic_gain", "ris_power_consumption",
     "parse_config_text", "build_scenario", "load_scenario", "apply_overrides",
-    "scenario_to_text", "save_scenario", "default_scenario",
+    "default_scenario",
     "KNOWN_KEYS",
 ]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from risharvest import default_scenario
+from risharvest.scenario import default_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

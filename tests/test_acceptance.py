@@ -11,19 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risharvest import (
-    PowerModel,
-    ReflectionState,
-    default_scenario,
-    exhaustive_phase_search,
-    optimal_phases,
-    placement_objective,
-    snr_cophased,
-    snr_explicit,
-    solve_placement,
-)
 from risharvest.cli import EXIT_OK, main, sweep_rows
-from risharvest.link import absorbed_power_element
+from risharvest.geometry import center_distances
+from risharvest.link import ReflectionState, harvest_ceiling, snr_cophased, snr_explicit
+from risharvest.optimizer import optimal_phases, placement_objective, solve_placement
+from risharvest.oracle import exhaustive_phase_search
+from risharvest.scenario import PowerModel, default_scenario
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
 
@@ -73,7 +66,7 @@ def test_criterion_1_autonomy_threshold(table_scenario):
     # feasible set ends at the last grid value at or below it
     sc = table_scenario  # y_s = 5 m
     pm = sc.power_model
-    ceiling = sc.conversion_efficiency * sc.m_s * absorbed_power_element(0.0, 0.0, sc)
+    ceiling = harvest_ceiling(center_distances(0.0, sc)[0], sc)
     p_c_max = (ceiling - pm.n_rectifiers * pm.p_rectifier_w) / sc.m_s
     assert p_c_max == pytest.approx(43.3e-6, abs=0.05e-6)
     assert max_pc <= p_c_max < pc_grid[pc_grid.index(max_pc) + 1]
@@ -226,7 +219,7 @@ def test_criterion_6_phase_optimality(tiny_solution):
 def test_criterion_7_amplitude_uniformity(tiny_solution):
     sc, sol = tiny_solution
     r_star = sol.r1h_opt_m
-    eps_p_inc = sc.conversion_efficiency * absorbed_power_element(0.0, r_star, sc)
+    eps_p_inc = harvest_ceiling(center_distances(r_star, sc)[0], sc) / sc.m_s
     s_target = sc.m_s - sol.p_ris_w / eps_p_inc  # required sum of squares
     tol = 0.02  # one 0.01 amplitude step of sum-of-squares resolution
 

@@ -1,12 +1,15 @@
 """CLI behavior: output contracts, exit codes, determinism, error paths."""
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 
 import pytest
 
-from risharvest import geometry, link
+import risharvest
+from risharvest import cli, geometry
 from risharvest.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -190,11 +193,44 @@ def test_sweep_deterministic_bytes(default_config_path, capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+# (function, position, name) of each argument that bench/tracer.py reads
+TRACED_ARGUMENTS = (
+    ("geometry.center_distances", 0, "r1h_m"),
+    ("geometry.element_distances", 1, "grid"),
+    ("link.snr_explicit", 1, "reflection"),
+    ("optimizer.placement_objective", 0, "r1h_m"),
+    ("oracle.exhaustive_phase_search", 0, "scenario"),
+    ("oracle.exhaustive_phase_search", 2, "phase_levels"),
+)
+
+
+def test_traced_names_resolve(scenario):
+    # the benchmark's tracer wraps every name in these __all__ lists and reads
+    # the attributes below; a half-done deletion fails here, not only in a traced run
+    layers = {layer: importlib.import_module(f"risharvest.{layer}") for layer in
+              ("scenario", "geometry", "link", "optimizer", "oracle", "cli")}
+    for module in (risharvest, *layers.values()):
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
+    for qualified, position, name in TRACED_ARGUMENTS:
+        layer, fname = qualified.split(".")
+        signature = inspect.signature(getattr(layers[layer], fname))
+        assert list(signature.parameters)[position] == name, qualified
+    grid = geometry.element_grid(scenario)
+    r1pl, _ = geometry.element_distances(1.0, grid, scenario)
+    assert r1pl.shape == grid.d_p.shape == (scenario.ris_rows, scenario.ris_cols)
+    assert layers["link"].ReflectionState([[1.0]], [[0.0]]).amplitudes.size == 1
+    curve = layers["optimizer"].solve_placement(scenario).objective_curve
+    assert curve.ndim == 2 and curve.shape[1] == 2
+    for name in ("main", "sweep_rows", "parse_sites_text"):
+        assert callable(getattr(cli, name)), name
+    assert callable(SweepRow.csv_cells)
+
+
 def test_sweep_rows_build_no_per_element_arrays(monkeypatch, scenario):
     # a row reports A*, the SNR and P_harv, none of which needs a surface-sized array
     calls = []
-    for module, name in ((geometry, "element_offsets"), (geometry, "element_distances"),
-                         (link, "harvested_power")):
+    for module, name in ((geometry, "element_grid"), (geometry, "element_distances")):
         def counted(*args, name=name, fn=getattr(module, name), **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
@@ -442,17 +478,30 @@ def test_subnormal_or_huge_finite_values_refused(default_config_path, capsys, ov
     ("select-site", "p_chip_w=1e304", EXIT_INFEASIBLE, "selected_index = none\n"),
     # P_t near the float maximum: the SNR is built from the finite incident power
     ("solve", "transmit_power_w=1e300", EXIT_OK, "snr_opt_db = 3056.49"),
+    # P_ris / ceiling below 2^-53: A* is clamped below 1 and still harvests
+    ("solve", "transmit_power_w=1e300", EXIT_OK, "a_opt = 0.999999999\na_boundary = false\n"),
     ("solve", "transmit_power_w=1e303", EXIT_CONFIG,
      "overflows a float: transmit_power_w = 1e+303"),
     # a 1e60 m span: the SNR follows cos(th_r) = y_s/r2 far below 1e-16
     ("solve", "txrx_horizontal_m=1e60", EXIT_OK, "snr_opt_db = -1683.607562413"),
+    ("solve", "txrx_horizontal_m=1e100", EXIT_OK, "snr_opt_db = -2883.6075624135437\n"),
+    # the second hop leaves the normal floats: the SNR would read -inf or lose digits
+    ("solve", "txrx_horizontal_m=1e105", EXIT_CONFIG,
+     "underflows the normal floats: txrx_horizontal_m = 1e+105"),
+    ("solve", "txrx_horizontal_m=1e108", EXIT_CONFIG,
+     "underflows the normal floats: txrx_horizontal_m = 1e+108"),
+    ("solve", "transmit_power_w=1e-305 p_chip_w=0", EXIT_CONFIG,
+     "transmit_power_w = 1e-305 W leaves too little signal"),
     ("solve", "txrx_horizontal_m=1e120", EXIT_CONFIG,
      "underflows to 0 at r1h = 0: txrx_horizontal_m"),
-], ids=["solve_huge_draw", "select_site_huge_draw", "huge_tx_power", "snr_overflow",
-        "far_span", "objective_underflow"])
+], ids=["solve_huge_draw", "select_site_huge_draw", "huge_tx_power", "huge_tx_power_amplitude",
+        "snr_overflow", "far_span", "farther_span", "snr_underflow_subnormal",
+        "snr_underflow_zero", "tiny_tx_power", "objective_underflow"])
 def test_extreme_finite_values_exit_cleanly(default_config_path, sites_config_path, capsys,
                                             command, override, code, expected):
-    argv = [command, "--config", str(default_config_path), "--override", override]
+    argv = [command, "--config", str(default_config_path)]
+    for item in override.split():
+        argv += ["--override", item]
     if command == "select-site":
         argv += ["--sites", str(sites_config_path)]
     got, out, err = run_cli(capsys, *argv)

@@ -10,14 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from risharvest import (
-    ElementGrid,
-    center_distances,
-    default_scenario,
-    element_distances,
-    element_grid,
-    element_offsets,
-)
+from risharvest.geometry import ElementGrid, center_distances, element_distances, element_grid
+from risharvest.scenario import ConfigError, default_scenario
 
 LAM = 299_792_458.0 / 28e9
 
@@ -26,14 +20,14 @@ LAM = 299_792_458.0 / 28e9
 
 
 def test_single_element_grid():
-    g = element_offsets(1, 1, LAM / 2, LAM / 2)
+    g = element_grid(default_scenario(ris_rows=1, ris_cols=1))
     assert g.shape == (1, 1)
     assert g.d_p[0, 0] == 0.0
     assert g.d_l[0, 0] == 0.0
 
 
 def test_two_element_row_symmetric():
-    g = element_offsets(2, 1, LAM / 2, LAM / 2)
+    g = element_grid(default_scenario(ris_rows=2, ris_cols=1))
     assert sorted(g.d_p[:, 0]) == [-LAM / 4, LAM / 4]
 
 
@@ -52,8 +46,10 @@ def test_grid_shape_mismatch_rejected():
 
 
 def test_degenerate_dimensions_rejected():
-    with pytest.raises(ValueError):
-        element_offsets(0, 5, LAM / 2, LAM / 2)
+    # no grid is built for an empty surface: the scenario refuses it
+    for dims in ({"ris_rows": 0}, {"ris_cols": 0}):
+        with pytest.raises(ConfigError):
+            default_scenario(**dims)
 
 
 # ----------------------------------------------------------- center distances

@@ -8,18 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risharvest import (
+from risharvest.geometry import center_distances, element_distances, element_grid
+from risharvest.link import (
     ReflectionState,
-    absorbed_power_element,
-    default_scenario,
-    element_grid,
-    harvested_power,
-    link_report,
+    harvest_ceiling,
+    incident_power,
+    path_phase_rad,
     snr_cophased,
     snr_explicit,
 )
-from risharvest.geometry import center_distances, element_distances
-from risharvest.link import harvest_ceiling, incident_power, path_phase_rad, phase_mod_2pi
+from risharvest.optimizer import evaluate_placement
+from risharvest.scenario import default_scenario
 
 
 def arctan_cosines(r1h_m, scenario):
@@ -31,6 +30,13 @@ def arctan_cosines(r1h_m, scenario):
     th_i = math.atan(math.sqrt(r1h_m**2 + dz_t**2) / ys)
     th_r = math.atan(math.sqrt((scenario.txrx_horizontal_m - r1h_m) ** 2 + dz_r**2) / ys)
     return math.cos(th_i), math.cos(th_r)
+
+
+def element_sum_harvest(r1h_m, amplitudes, scenario):
+    # eps_conv * sum_pl (1 - A_pl^2) * P_inc, term by term over the surface
+    r1, _ = center_distances(r1h_m, scenario)
+    per_element = (1.0 - np.asarray(amplitudes) ** 2) * incident_power(r1, scenario)
+    return float(scenario.conversion_efficiency * np.sum(per_element))
 
 
 def co_phased_state(r1h_m, a, scenario):
@@ -59,11 +65,6 @@ def test_element_gain_values():
         r1, _ = center_distances(r1h, sc)
         free_space = (lam / (4 * math.pi)) ** 2 * sc.transmit_power_w * sc.tx_gain / r1**2
         assert incident_power(r1, sc) == pytest.approx(gain * free_space, rel=1e-14)
-
-
-def test_phase_mod_2pi():
-    assert phase_mod_2pi(-math.pi) == pytest.approx(math.pi, rel=1e-15)
-    assert phase_mod_2pi(5 * math.pi) == pytest.approx(math.pi, rel=1e-12)
 
 
 # -------------------------------------------------------------- explicit SNR
@@ -191,10 +192,6 @@ def test_cophased_quadratic_in_amplitude(scenario):
 # ----------------------------------------------------------------- absorption
 
 
-def test_full_reflection_absorbs_nothing(scenario):
-    assert absorbed_power_element(1.0, 10.0, scenario) == 0.0
-
-
 def test_absorbed_power_table_point(scenario):
     lam = scenario.wavelength_m
     r1, _ = center_distances(10.0, scenario)
@@ -207,32 +204,33 @@ def test_absorbed_power_table_point(scenario):
         * cos_i
         / r1**2
     )
-    got = absorbed_power_element(0.0, 10.0, scenario)
+    got = incident_power(r1, scenario)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(2.6634817900711117e-05, rel=1e-12)
 
 
 def test_power_split_identity(scenario):
-    p_inc = absorbed_power_element(0.0, 10.0, scenario)
-    for a in (0.1, 0.5, 0.99):
-        p_abs = absorbed_power_element(a, 10.0, scenario)
-        assert p_abs + a * a * p_inc == pytest.approx(p_inc, rel=1e-12)
+    # the harvested (1 - A^2) share and the reflected A^2 share add up to the ceiling
+    r1, _ = center_distances(10.0, scenario)
+    ceiling = harvest_ceiling(r1, scenario)
+    for share in (0.1, 0.5, 0.99):
+        sol = evaluate_placement(scenario, 10.0, p_ris_w=share * ceiling)
+        assert sol.p_harv_w + sol.a_opt ** 2 * ceiling == pytest.approx(ceiling, rel=1e-12)
 
 
 # -------------------------------------------------------------------- harvest
 
 
 def test_full_reflection_harvests_nothing(scenario):
-    assert harvested_power(10.0, np.ones((50, 50)), scenario) == 0.0
+    assert element_sum_harvest(10.0, np.ones((50, 50)), scenario) == 0.0
 
 
 def test_uniform_harvest_collapse(scenario):
+    # the term-by-term sum at a uniform amplitude is (1 - A^2) of the ceiling
+    r1, _ = center_distances(10.0, scenario)
     for a in (0.0, 0.3, 0.9):
-        total = harvested_power(10.0, np.full((50, 50), a), scenario)
-        single = absorbed_power_element(a, 10.0, scenario)
-        assert total == pytest.approx(
-            scenario.m_s * scenario.conversion_efficiency * single, rel=1e-12
-        )
+        total = element_sum_harvest(10.0, np.full((50, 50), a), scenario)
+        assert total == pytest.approx((1 - a * a) * harvest_ceiling(r1, scenario), rel=1e-12)
 
 
 def test_harvest_ceiling_near_tx(scenario):
@@ -251,7 +249,7 @@ def test_harvest_ceiling_near_tx(scenario):
             * cos_ti
             / r1sq
         )
-    got = harvested_power(0.0, np.zeros((50, 50)), scenario)
+    got = harvest_ceiling(center_distances(0.0, scenario)[0], scenario)
     assert got == pytest.approx(total, rel=1e-9)
     assert got == pytest.approx(0.10823881367070927, rel=1e-9)
     assert 0.05 < got < 0.2
@@ -289,28 +287,6 @@ def test_kernel_matches_arctan_route(params, fraction, a):
 def test_harvest_monotone_in_amplitude(scenario):
     rng = np.random.default_rng(3)
     amps = rng.uniform(0, 1, size=(50, 50))
-    lower = harvested_power(10.0, amps, scenario)
-    ceiling = harvested_power(10.0, np.zeros((50, 50)), scenario)
+    lower = element_sum_harvest(10.0, amps, scenario)
+    ceiling = harvest_ceiling(center_distances(10.0, scenario)[0], scenario)
     assert 0.0 <= lower <= ceiling
-
-
-# ---------------------------------------------------------------- link report
-
-
-def test_link_report_consistency(scenario):
-    state = co_phased_state(10.0, 0.9, scenario)
-    rep = link_report(10.0, state, scenario, per_element=True)
-    assert rep.snr_linear == snr_explicit(10.0, state, scenario)
-    assert rep.snr_db == pytest.approx(10 * math.log10(rep.snr_linear), rel=1e-12)
-    assert rep.p_harv_w == harvested_power(10.0, state.amplitudes, scenario)
-    assert rep.p_abs_per_element_w.shape == (50, 50)
-    total = scenario.conversion_efficiency * rep.p_abs_per_element_w.sum()
-    assert rep.p_harv_w == pytest.approx(total, rel=1e-12)
-
-
-def test_link_report_zero_state(scenario):
-    state = ReflectionState(amplitudes=np.zeros((50, 50)), phases=np.zeros((50, 50)))
-    rep = link_report(10.0, state, scenario)
-    assert rep.snr_linear == 0.0
-    assert rep.snr_db == float("-inf")
-    assert rep.p_abs_per_element_w is None

@@ -9,28 +9,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from risharvest import (
-    PowerModel,
-    ReflectionState,
+from risharvest import geometry as geometry_module
+from risharvest import link
+from risharvest import optimizer as optimizer_module
+from risharvest.geometry import center_distances, element_grid
+from risharvest.link import ReflectionState, path_phase_rad, snr_cophased, snr_explicit
+from risharvest.optimizer import (
     SiteCandidate,
-    absorbed_power_element,
-    default_scenario,
-    element_grid,
     evaluate_placement,
-    harvested_power,
-    optimal_amplitude,
     optimal_phases,
     placement_objective,
     select_site,
-    snr_cophased,
-    snr_explicit,
     solve_placement,
 )
-from risharvest import geometry as geometry_module
-from risharvest import optimizer as optimizer_module
-from risharvest.geometry import center_distances
-from risharvest.link import path_phase_rad
 from risharvest.oracle import brute_force_solve
+from risharvest.scenario import PowerModel, default_scenario
 
 
 def with_chip_power(scenario, p_chip_w):
@@ -42,8 +35,16 @@ def with_chip_power(scenario, p_chip_w):
 
 def harvest_ceiling(r1h_m, scenario):
     # same float the amplitude closed form divides by (product, not array sum)
-    p_inc = absorbed_power_element(0.0, r1h_m, scenario)
-    return scenario.conversion_efficiency * scenario.m_s * p_inc
+    r1, _ = center_distances(r1h_m, scenario)
+    return link.harvest_ceiling(r1, scenario)
+
+
+def element_sum_harvest(r1h_m, a, scenario):
+    # eps_conv * sum_pl (1 - A^2) * P_inc, term by term in numpy's pairwise sum
+    r1, _ = center_distances(r1h_m, scenario)
+    amp = np.full((scenario.ris_rows, scenario.ris_cols), a)
+    per_element = (1.0 - amp ** 2) * link.incident_power(r1, scenario)
+    return float(scenario.conversion_efficiency * np.sum(per_element))
 
 
 # --------------------------------------------------------------------- phases
@@ -76,35 +77,49 @@ def test_optimal_phases_reproduce_cophased(scenario):
 
 
 def test_zero_consumption_full_reflection(scenario):
-    assert optimal_amplitude(10.0, 0.0, scenario) == 1.0
+    for r1h in (0.0, 10.0, 99.0):
+        sol = evaluate_placement(scenario, r1h, p_ris_w=0.0)
+        assert sol.a_opt == 1.0
+        assert sol.snr_opt_linear == snr_cophased(r1h, 1.0, scenario)
 
 
 def test_amplitude_at_exact_ceiling(scenario):
     ceiling = harvest_ceiling(10.0, scenario)
-    assert optimal_amplitude(10.0, ceiling, scenario) == 0.0
+    sol = evaluate_placement(scenario, 10.0, p_ris_w=ceiling)
+    assert sol.a_opt == 0.0
+    assert sol.p_harv_w == ceiling
 
 
 def test_amplitude_above_ceiling_infeasible(scenario):
     ceiling = harvest_ceiling(10.0, scenario)
     above = float(np.nextafter(ceiling, np.inf))
-    assert optimal_amplitude(10.0, above, scenario) is None
+    assert not evaluate_placement(scenario, 10.0, p_ris_w=above).feasible
 
 
 def test_amplitude_at_half_ceiling(scenario):
     ceiling = harvest_ceiling(10.0, scenario)
-    a = optimal_amplitude(10.0, ceiling / 2, scenario)
-    assert a == math.sqrt(0.5)
+    assert evaluate_placement(scenario, 10.0, p_ris_w=ceiling / 2).a_opt == math.sqrt(0.5)
 
 
 def test_amplitude_rejects_negative_consumption(scenario):
     with pytest.raises(ValueError):
-        optimal_amplitude(10.0, -1e-9, scenario)
+        evaluate_placement(scenario, 10.0, p_ris_w=-1e-9)
 
 
 def test_amplitude_meets_harvest_equality(scenario):
-    a = optimal_amplitude(10.0, scenario.p_ris_w, scenario)
-    harv = harvested_power(10.0, np.full((50, 50), a), scenario)
+    a = evaluate_placement(scenario, 10.0).a_opt
+    harv = element_sum_harvest(10.0, a, scenario)
     assert harv == pytest.approx(scenario.p_ris_w, rel=1e-12)
+
+
+def test_amplitude_clamped_when_radicand_rounds_to_one(scenario):
+    # P_ris / ceiling below 2^-53 leaves a radicand of 1.0: A* is clamped below
+    # 1, so the surface still harvests at least its consumption
+    ceiling = harvest_ceiling(10.0, scenario)
+    sol = evaluate_placement(scenario, 10.0, p_ris_w=1e-17 * ceiling)
+    assert sol.feasible and not sol.a_boundary
+    assert sol.a_opt == 1.0 - 1e-9
+    assert sol.p_harv_w >= sol.p_ris_w > 0.0
 
 
 # ------------------------------------------------------------------ objective
@@ -404,7 +419,7 @@ def test_evaluate_placement_harvest_is_element_sum(geometry, rows, cols, fractio
     sol = evaluate_placement(sc, r1h, p_ris_w=share * harvest_ceiling(r1h, sc))
     assert sol.feasible
     assert sol.a_boundary or share not in (0.0, 1.0)
-    summed = harvested_power(r1h, np.full((rows, cols), sol.a_opt), sc)
+    summed = element_sum_harvest(r1h, sol.a_opt, sc)
     assert sol.p_harv_w == pytest.approx(summed, rel=1e-14, abs=0.0)
 
 

@@ -9,19 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risharvest import (
-    PowerModel,
-    brute_force_solve,
-    default_scenario,
-    element_grid,
-    exhaustive_phase_search,
-    snr_cophased,
-    snr_explicit,
-    solve_placement,
-)
 from risharvest import oracle
-from risharvest.link import ReflectionState, path_phase_rad
-from risharvest.oracle import _MAX_ELEMENTS
+from risharvest.geometry import element_grid
+from risharvest.link import ReflectionState, path_phase_rad, snr_cophased, snr_explicit
+from risharvest.optimizer import solve_placement
+from risharvest.oracle import _MAX_ELEMENTS, brute_force_solve, exhaustive_phase_search
+from risharvest.scenario import PowerModel, default_scenario
 
 
 def with_chip_power(p_chip_w):

@@ -6,29 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risharvest import (
+from risharvest.scenario import (
+    SPEED_OF_LIGHT_M_S,
     ConfigError,
     PowerModel,
-    Scenario,
     apply_overrides,
     build_scenario,
+    db,
+    dbm_to_watts,
     default_scenario,
+    format_value,
+    key_value_lines,
     load_scenario,
     noise_power_w,
     parabolic_gain,
     parse_config_text,
-    ris_power_consumption,
-    save_scenario,
-    scenario_to_text,
-)
-from risharvest.scenario import (
-    SPEED_OF_LIGHT_M_S,
-    db,
-    dbm_to_watts,
-    format_value,
-    key_value_lines,
     parse_number,
-    watts_to_dbm,
+    ris_power_consumption,
 )
 
 
@@ -42,9 +36,8 @@ def test_db_roundtrip():
 
 def test_dbm_watts_roundtrip():
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
-    assert watts_to_dbm(1e-3) == pytest.approx(0.0, abs=1e-12)
     for v in (1e-9, 2.5e-4, 3.0):
-        assert dbm_to_watts(watts_to_dbm(v)) == pytest.approx(v, rel=1e-12)
+        assert dbm_to_watts(db(v) + 30.0) == pytest.approx(v, rel=1e-12)
 
 
 # ---------------------------------------------------------------- noise model
@@ -54,12 +47,12 @@ def test_noise_floor_1hz_0db():
     # log term vanishes, leaving the thermal floor
     w = noise_power_w(1.0, 0.0)
     assert w == pytest.approx(3.9810717055349695e-21, rel=1e-12)
-    assert watts_to_dbm(w) == pytest.approx(-174.0, abs=1e-9)
+    assert db(w) + 30.0 == pytest.approx(-174.0, abs=1e-9)
 
 
 def test_noise_2ghz_10db():
     w = noise_power_w(2e9, 10.0)
-    assert watts_to_dbm(w) == pytest.approx(-70.98970004336019, abs=1e-9)
+    assert db(w) + 30.0 == pytest.approx(-70.98970004336019, abs=1e-9)
     assert w == pytest.approx(7.962143411069939e-11, rel=1e-12)
 
 
@@ -167,18 +160,18 @@ def test_default_scenario_matches_config(default_config_path):
     assert load_scenario(default_config_path) == default_scenario()
 
 
-def test_lateral_offset_zero_rejected(scenario):
-    text = scenario_to_text(scenario).replace(
+def test_lateral_offset_zero_rejected(default_config_path):
+    text = default_config_path.read_text().replace(
         "lateral_offset_m = 5.0", "lateral_offset_m = 0.0"
     )
     with pytest.raises(ConfigError, match="lateral_offset_m"):
         build_scenario(parse_config_text(text))
 
 
-def test_missing_required_key(scenario):
+def test_missing_required_key(default_config_path):
     lines = [
         ln
-        for ln in scenario_to_text(scenario).splitlines()
+        for ln in default_config_path.read_text().splitlines()
         if not ln.startswith("transmit_power_w")
     ]
     with pytest.raises(ConfigError, match="transmit_power_w"):
@@ -195,8 +188,8 @@ def test_duplicate_key_rejected():
         parse_config_text("transmit_power_w = 1\ntransmit_power_w = 2\n")
 
 
-def test_bad_number_names_key():
-    text = scenario_to_text(default_scenario()).replace(
+def test_bad_number_names_key(default_config_path):
+    text = default_config_path.read_text().replace(
         "transmit_power_w = 1.0", "transmit_power_w = banana"
     )
     with pytest.raises(ConfigError, match="transmit_power_w"):
@@ -236,37 +229,31 @@ def test_parse_number_refusals_start_with_label():
         parse_number("value for 'k'", "2.5", integer=True)
 
 
-def test_comments_and_inline_comments(scenario):
-    text = "# header\n" + scenario_to_text(scenario) + "\n\n# trailing\n"
+def test_comments_and_inline_comments(default_config_path, scenario):
+    text = "# header\n" + default_config_path.read_text() + "\n\n# trailing\n"
     text = text.replace("transmit_power_w = 1.0", "transmit_power_w = 1.0  # watts")
     assert build_scenario(parse_config_text(text)) == scenario
 
 
-def test_roundtrip_bit_exact(tmp_path, scenario):
-    p = tmp_path / "cfg.cfg"
-    save_scenario(scenario, p)
-    assert load_scenario(p) == scenario
+def _as_mapping(config_path):
+    return parse_config_text(config_path.read_text())
 
 
-def _as_mapping(scenario):
-    return parse_config_text(scenario_to_text(scenario))
-
-
-def test_apply_overrides(scenario):
-    merged = apply_overrides(_as_mapping(scenario), ["lateral_offset_m=7.5", "p_chip_w=2e-6"])
+def test_apply_overrides(default_config_path):
+    merged = apply_overrides(_as_mapping(default_config_path), ["lateral_offset_m=7.5", "p_chip_w=2e-6"])
     built = build_scenario(merged)
     assert built.lateral_offset_m == 7.5
     assert built.power_model.chip_power_w == 2e-6
 
 
-def test_override_unknown_key_rejected(scenario):
+def test_override_unknown_key_rejected(default_config_path):
     with pytest.raises(ConfigError):
-        apply_overrides(_as_mapping(scenario), ["nope=1"])
+        apply_overrides(_as_mapping(default_config_path), ["nope=1"])
 
 
-def test_override_missing_equals(scenario):
+def test_override_missing_equals(default_config_path):
     with pytest.raises(ConfigError):
-        apply_overrides(_as_mapping(scenario), ["lateral_offset_m"])
+        apply_overrides(_as_mapping(default_config_path), ["lateral_offset_m"])
 
 
 finite_pos = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
@@ -279,14 +266,17 @@ finite_pos = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
     eps=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
     rows=st.integers(min_value=1, max_value=200),
 )
-def test_roundtrip_property(y_s, p_t, eps, rows):
+def test_roundtrip_property(default_config_path, y_s, p_t, eps, rows):
+    # values written with repr, as every emitted number is, load back bit-exact
     sc = default_scenario(
         lateral_offset_m=y_s,
         transmit_power_w=p_t,
         conversion_efficiency=eps,
         ris_rows=rows,
     )
-    assert build_scenario(parse_config_text(scenario_to_text(sc))) == sc
+    overrides = [f"lateral_offset_m={format_value(y_s)}", f"transmit_power_w={format_value(p_t)}",
+                 f"conversion_efficiency={format_value(eps)}", f"ris_rows={format_value(rows)}"]
+    assert build_scenario(apply_overrides(_as_mapping(default_config_path), overrides)) == sc
 
 
 # ----------------------------------------------------------------- scenario
