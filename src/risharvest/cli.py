@@ -19,7 +19,8 @@ import numpy as np
 
 from . import oracle, optimizer
 from .link import snr_cophased
-from .scenario import ConfigError, Scenario, db, key_value_lines, load_scenario, parse_number
+from .scenario import (KEY_RANGES, ConfigError, Scenario, db, key_value_lines, load_scenario,
+                       parse_number, range_error)
 from .scenario import format_value as _fmt
 
 EXIT_OK = 0
@@ -216,7 +217,12 @@ _SITE_KEY = re.compile(r"^site\.(\d+)\.(r1h_m|lateral_offset_m|ris_height_m)$")
 
 
 def parse_sites_text(text: str):
-    """Parse the indexed sites file into a list of per-site field dicts."""
+    """Parse the indexed sites file into a list of per-site field dicts.
+
+    r1h_m never passes through Scenario: it is a horizontal length of either
+    sign, bounded by the upper end of txrx_horizontal_m's range.
+    """
+    r1h_max = KEY_RANGES["txrx_horizontal_m"][1]
     entries: dict[int, dict[str, float]] = {}
     for lineno, key, value in key_value_lines(text):
         match = _SITE_KEY.match(key)
@@ -226,7 +232,10 @@ def parse_sites_text(text: str):
         entries.setdefault(index, {})
         if field in entries[index]:
             raise ConfigError(f"line {lineno}: duplicate sites key '{key}'")
-        entries[index][field] = parse_number(f"line {lineno}: value for '{key}'", value)
+        number = parse_number(f"line {lineno}: value for '{key}'", value)
+        if field == "r1h_m" and not -r1h_max <= number <= r1h_max:
+            raise range_error(f"line {lineno}: {key}", number, -r1h_max, r1h_max)
+        entries[index][field] = number
     if not entries:
         raise ConfigError("sites file defines no sites")
     indices = sorted(entries)

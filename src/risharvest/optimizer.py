@@ -206,11 +206,6 @@ def solve_placement(scenario: Scenario) -> PlacementSolution:
     grid = grid[: np.searchsorted(grid, limit, side="right") + 1]
     objective = placement_objective(grid, p_ris, scenario)
     feasible = objective > 0.0
-    if not feasible[0]:
-        # r1h = 0 is feasible, so its objective is 0 only by underflow
-        raise ValueError(f"the placement objective underflows to 0 at r1h = 0: "
-                         f"txrx_horizontal_m = {r_h!r} m or the noise power "
-                         f"{scenario.noise_w!r} W is too large")
     curve = np.column_stack((grid[feasible], objective[feasible]))
 
     # np.argmax takes the first (lowest-r) max

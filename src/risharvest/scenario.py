@@ -8,7 +8,11 @@ configuration and reporting boundaries.
 The config keys are written nowhere but in the dataclasses: the key table is
 read from the fields of Scenario (all required but power_model) and of
 PowerModel (each optional, with its default). parse_number is the one place
-where user text (config, override, sites file, sweep lists) becomes a number.
+where user text (config, override, sites file, sweep lists) becomes a number,
+and KEY_RANGES holds the one closed range of every key, which both
+dataclasses check on construction. The ranges keep every quantity that the
+link budget and the placement search form inside the normal floats, so no
+later layer guards against over- or underflow.
 """
 
 from __future__ import annotations
@@ -20,9 +24,55 @@ from dataclasses import dataclass, fields, replace
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 MAX_SURFACE_ELEMENTS = 1_000_000
 
+# the closed range [lo, hi] of every config key, in its SI unit
+_LENGTH_M = (1e-9, 1e9)
+_POWER_W = (0.0, 1e9)
+KEY_RANGES = {
+    "carrier_frequency_hz": (1e6, 1e13),
+    "transmit_power_w": (1e-15, 1e9),
+    "bandwidth_hz": (1.0, 1e13),
+    "noise_figure_db": (-100.0, 100.0),
+    "tx_diameter_m": (1e-3, 1e3),
+    "rx_diameter_m": (1e-3, 1e3),
+    "tx_efficiency": (1e-6, 1.0),
+    "rx_efficiency": (1e-6, 1.0),
+    "tx_height_m": _LENGTH_M,
+    "rx_height_m": _LENGTH_M,
+    "ris_height_m": _LENGTH_M,
+    "txrx_horizontal_m": _LENGTH_M,
+    "lateral_offset_m": _LENGTH_M,
+    "ris_rows": (1, MAX_SURFACE_ELEMENTS),
+    "ris_cols": (1, MAX_SURFACE_ELEMENTS),
+    "element_dx_m": (1e-9, 1e3),
+    "element_dy_m": (1e-9, 1e3),
+    # the largest float below 1: a surface that converts everything reflects nothing
+    "conversion_efficiency": (1e-9, 1.0 - 2.0 ** -53),
+    "p_static_w": _POWER_W,
+    "p_dynamic_w": _POWER_W,
+    "reconfig_fraction": (0.0, 1.0),
+    "n_rectifiers": (1, 1_000_000),
+    "p_rectifier_w": _POWER_W,
+    "p_chip_w": _POWER_W,
+}
+
 
 class ConfigError(ValueError):
     """Raised for unparsable, missing, unknown, or invalid configuration values."""
+
+
+def range_error(label: str, value, lo, hi) -> ConfigError:
+    """The one refusal of a value outside its closed range [lo, hi]."""
+    return ConfigError(f"{label} = {format_value(value)} lies outside its range "
+                       f"[{format_value(lo)}, {format_value(hi)}]")
+
+
+def _check_key_ranges(obj) -> None:
+    # the one range check of both dataclasses. None is a key of the other
+    # class, or an unset p_chip_w
+    for key, (lo, hi) in KEY_RANGES.items():
+        value = getattr(obj, key, None)
+        if value is not None and not lo <= value <= hi:
+            raise range_error(key, value, lo, hi)
 
 
 def db(x):
@@ -74,18 +124,9 @@ class PowerModel:
     p_chip_w: float | None = None    # direct per-element override, wins if set
 
     def __post_init__(self):
-        if self.p_static_w < 0:
-            raise ConfigError("p_static_w must be nonnegative")
-        if self.p_dynamic_w < 0:
-            raise ConfigError("p_dynamic_w must be nonnegative")
-        if not 0.0 <= self.reconfig_fraction <= 1.0:
-            raise ConfigError("reconfig_fraction must lie in [0, 1]")
-        if int(self.n_rectifiers) != self.n_rectifiers or self.n_rectifiers < 1:
-            raise ConfigError("n_rectifiers must be a positive integer")
-        if self.p_rectifier_w < 0:
-            raise ConfigError("p_rectifier_w must be nonnegative")
-        if self.p_chip_w is not None and self.p_chip_w < 0:
-            raise ConfigError("p_chip_w must be nonnegative")
+        _check_key_ranges(self)
+        if int(self.n_rectifiers) != self.n_rectifiers:
+            raise ConfigError("n_rectifiers must be an integer")
 
     @property
     def chip_power_w(self) -> float:
@@ -116,76 +157,34 @@ class Scenario:
     noise_figure_db: float           # F_dB
     tx_diameter_m: float             # D_t
     rx_diameter_m: float             # D_r
-    tx_efficiency: float             # e_t, in (0, 1]
+    tx_efficiency: float             # e_t
     rx_efficiency: float             # e_r
     tx_height_m: float               # h_t
     rx_height_m: float               # h_r
     ris_height_m: float              # h_s
     txrx_horizontal_m: float         # r_h
-    lateral_offset_m: float          # y_s, must be > 0
+    lateral_offset_m: float          # y_s
     ris_rows: int                    # M_x
     ris_cols: int                    # M_y
     element_dx_m: float              # d_x
     element_dy_m: float              # d_y
-    conversion_efficiency: float     # RF-to-DC efficiency, in (0, 1)
+    conversion_efficiency: float     # RF-to-DC efficiency
     power_model: PowerModel
 
     def __post_init__(self):
-        positive = [
-            "carrier_frequency_hz", "transmit_power_w", "bandwidth_hz",
-            "tx_diameter_m", "rx_diameter_m", "tx_height_m", "rx_height_m",
-            "ris_height_m", "txrx_horizontal_m", "lateral_offset_m",
-            "element_dx_m", "element_dy_m",
-        ]
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("tx_efficiency", "rx_efficiency"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1]")
-        if not 0.0 < self.conversion_efficiency < 1.0:
-            raise ConfigError("conversion_efficiency must lie in (0, 1)")
+        _check_key_ranges(self)
         for name in ("ris_rows", "ris_cols"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ConfigError(f"{name} must be a positive integer")
+            if int(getattr(self, name)) != getattr(self, name):
+                raise ConfigError(f"{name} must be an integer")
         # every per-element array is sized by this
         if self.m_s > MAX_SURFACE_ELEMENTS:
             raise ConfigError(f"the surface has {self.m_s} elements, more than {MAX_SURFACE_ELEMENTS}")
-        if not 0.0 < self.noise_w < math.inf:
-            raise ConfigError(f"the noise power {self.noise_w!r} W from bandwidth_hz and "
-                              "noise_figure_db must be finite and positive")
-        for rows, pitch in (("ris_rows", "element_dx_m"), ("ris_cols", "element_dy_m")):
-            # element distances square the aperture
-            aperture_m = (getattr(self, rows) - 1) * getattr(self, pitch)
-            if not math.isfinite(aperture_m * aperture_m):
-                raise ConfigError(f"the surface aperture ({rows} - 1) * {pitch} must have a "
-                                  "finite square")
         # d_l runs over ris_cols: the lowest elements sit this far below the center
         half_aperture_m = (self.ris_cols - 1) / 2.0 * self.element_dy_m
         if self.ris_height_m <= half_aperture_m:
             raise ConfigError(f"ris_height_m must exceed the surface's lower half-aperture "
                               f"{half_aperture_m!r} m, or the surface reaches below ground")
         lam = self.wavelength_m
-        # the harvest budget in Python floats: an input that over- or underflows
-        # it is refused here, not met as a numpy RuntimeWarning in the solver
-        tiny = 2.0 ** -1022  # the smallest normal float
-        p_inc_const = self.transmit_power_w * self.tx_gain * (lam / (4.0 * math.pi)) ** 2
-        if not tiny <= p_inc_const < math.inf:
-            raise ConfigError(f"the incident-power constant P_t * G_t * (lambda/4pi)^2 = "
-                              f"{p_inc_const!r} from transmit_power_w must be finite and at "
-                              f"least {tiny!r}")
-        if not math.isfinite(self.txrx_horizontal_m * self.txrx_horizontal_m):
-            raise ConfigError("txrx_horizontal_m must have a finite square")
-        # ceiling at r1h = 0, 4 eps M_s const y_s / r1^3; below the normal floats
-        # P_ris / ceiling overflows in the placement objective
-        r1_0 = math.sqrt(self.lateral_offset_m ** 2 + (self.ris_height_m - self.tx_height_m) ** 2)
-        ceiling_0 = (4.0 * p_inc_const * self.conversion_efficiency * self.m_s
-                     * self.lateral_offset_m / r1_0 / r1_0 / r1_0) if r1_0 else math.inf
-        if not tiny <= ceiling_0 < math.inf:
-            raise ConfigError(f"the harvest ceiling {ceiling_0!r} W at r1h = 0 from "
-                              "conversion_efficiency, lateral_offset_m and the heights must be "
-                              f"finite and at least {tiny!r}")
         for name in ("tx_diameter_m", "rx_diameter_m"):
             if getattr(self, name) / lam < 10.0:
                 warnings.warn(
@@ -380,5 +379,5 @@ __all__ = [
     "noise_power_w", "parabolic_gain", "ris_power_consumption",
     "parse_config_text", "build_scenario", "load_scenario", "apply_overrides",
     "default_scenario",
-    "KNOWN_KEYS",
+    "KNOWN_KEYS", "KEY_RANGES", "range_error",
 ]

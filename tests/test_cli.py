@@ -391,6 +391,11 @@ BAD_SITES_FILES = {
     "site.0.r1h_m = nan\nsite.0.lateral_offset_m = 5\nsite.0.ris_height_m = 12\n": "must be finite",
     "site.0.r1h_m = inf\nsite.0.lateral_offset_m = 5\nsite.0.ris_height_m = 12\n": "must be finite",
     "site.0.r1h_m = 1\nsite.0.lateral_offset_m = inf\nsite.0.ris_height_m = 12\n": "must be finite",
+    # r1h_m is a horizontal length of either sign, bounded like the span
+    "site.0.lateral_offset_m = 5\nsite.0.r1h_m = 1e200\nsite.0.ris_height_m = 12\n":
+        "config error: line 2: site.0.r1h_m = 1e+200 lies outside its range [-1000000000.0, ",
+    "site.0.r1h_m = -1e160\nsite.0.lateral_offset_m = 5\nsite.0.ris_height_m = 12\n":
+        "config error: line 1: site.0.r1h_m = -1e+160 lies outside its range",
 }
 
 
@@ -404,6 +409,17 @@ def test_select_site_bad_files(default_config_path, capsys, tmp_path, content):
     assert code == EXIT_CONFIG
     assert "config error" in err
     assert BAD_SITES_FILES[content] in err
+
+
+def test_select_site_negative_r1h_accepted(default_config_path, capsys, tmp_path):
+    # a surface mounted behind the transmitter
+    sites = tmp_path / "behind.cfg"
+    sites.write_text("site.0.r1h_m = -5\nsite.0.lateral_offset_m = 5\nsite.0.ris_height_m = 12\n")
+    code, out, err = run_cli(
+        capsys, "select-site", "--config", str(default_config_path), "--sites", str(sites),
+    )
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[1].startswith("0,-5.0,5.0,12.0,true,")
 
 
 # ------------------------------------------------------------- surface height
@@ -435,88 +451,94 @@ def test_surface_below_ground_by_override(default_config_path, capsys, override)
 # ------------------------------------------------------------ numeric bounds
 
 
-@pytest.mark.parametrize("override", [
-    "noise_figure_db=1e6", "carrier_frequency_hz=1e308", "lateral_offset_m=1e308",
-    "ris_height_m=1e308", "tx_height_m=1e308", "rx_height_m=1e308",
-])
-def test_numeric_overflow_is_one_line_error(default_config_path, capsys, override):
-    code, out, err = run_cli(
-        capsys, "solve", "--config", str(default_config_path), "--override", override,
-    )
-    assert code == EXIT_CONFIG
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+# (command, options, key the refusal names). An option is an override
+# KEY=VALUE or, starting with --, a flag=value. The first 26 inputs once
+# reached guards against over- and underflow in scenario, link and optimizer,
+# which the ranges have made unreachable; the last four squared a length
+# past the float maximum and named no key.
+OUT_OF_RANGE = [
+    ("solve", "noise_figure_db=1e6", "noise_figure_db"),
+    ("solve", "carrier_frequency_hz=1e308", "carrier_frequency_hz"),
+    ("solve", "lateral_offset_m=1e308", "lateral_offset_m"),
+    ("solve", "ris_height_m=1e308", "ris_height_m"),
+    ("solve", "tx_height_m=1e308", "tx_height_m"),
+    ("solve", "rx_height_m=1e308", "rx_height_m"),
+    ("solve", "bandwidth_hz=1e-320", "bandwidth_hz"),
+    ("solve", "element_dx_m=1e308", "element_dx_m"),
+    ("solve", "element_dy_m=1e308", "element_dy_m"),
+    ("solve", "element_dx_m=1e200", "element_dx_m"),
+    ("solve", "transmit_power_w=1e308", "transmit_power_w"),
+    ("solve", "transmit_power_w=1e-320", "transmit_power_w"),
+    ("solve", "conversion_efficiency=1e-320", "conversion_efficiency"),
+    ("solve", "lateral_offset_m=1e-320", "lateral_offset_m"),
+    ("solve", "txrx_horizontal_m=1e300", "txrx_horizontal_m"),
+    ("solve", "p_chip_w=1e304", "p_chip_w"),
+    ("select-site", "p_chip_w=1e304", "p_chip_w"),
+    ("solve", "transmit_power_w=1e300", "transmit_power_w"),
+    ("validate", "transmit_power_w=1e300", "transmit_power_w"),
+    ("solve", "transmit_power_w=1e303", "transmit_power_w"),
+    ("solve", "txrx_horizontal_m=1e60", "txrx_horizontal_m"),
+    ("solve", "txrx_horizontal_m=1e100", "txrx_horizontal_m"),
+    ("solve", "txrx_horizontal_m=1e105", "txrx_horizontal_m"),
+    ("solve", "txrx_horizontal_m=1e108", "txrx_horizontal_m"),
+    ("solve", "transmit_power_w=1e-305 p_chip_w=0", "transmit_power_w"),
+    ("solve", "txrx_horizontal_m=1e120", "txrx_horizontal_m"),
+    ("solve", "lateral_offset_m=1e200", "lateral_offset_m"),
+    ("solve", "ris_height_m=1e200", "ris_height_m"),
+    ("solve", "tx_height_m=1e160", "tx_height_m"),
+    ("sweep", "--ys-list=1e200", "lateral_offset_m"),
+]
 
 
-@pytest.mark.parametrize("override, message", [
-    # the noise power underflows to 0 W
-    ("bandwidth_hz=1e-320", "config error: the noise power 0.0 W"),
-    ("element_dx_m=1e308", "config error: the surface aperture (ris_rows - 1) * element_dx_m"),
-    ("element_dy_m=1e308", "config error: the surface aperture (ris_cols - 1) * element_dy_m"),
-    # a finite aperture whose square overflows in the element distances
-    ("element_dx_m=1e200", "config error: the surface aperture (ris_rows - 1) * element_dx_m"),
-    # P_t * G_t overflows: the SNR would read inf and the harvest 0 W
-    ("transmit_power_w=1e308", "config error: the incident-power constant"),
-    ("transmit_power_w=1e-320", "config error: the incident-power constant"),
-    # a subnormal harvest ceiling overflows P_ris / ceiling
-    ("conversion_efficiency=1e-320", "config error: the harvest ceiling"),
-    ("lateral_offset_m=1e-320", "config error: the harvest ceiling"),
-    ("txrx_horizontal_m=1e300", "config error: txrx_horizontal_m must have a finite square"),
-])
-def test_subnormal_or_huge_finite_values_refused(default_config_path, capsys, override, message):
-    code, out, err = run_cli(
-        capsys, "solve", "--config", str(default_config_path), "--override", override,
-    )
-    assert code == EXIT_CONFIG
-    assert out == ""
-    assert err.startswith(message) and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("command, override, code, expected", [
-    # P_ris near the float maximum is compared with the ceiling, never divided by it
-    ("solve", "p_chip_w=1e304", EXIT_INFEASIBLE, "feasible = false\n"),
-    ("select-site", "p_chip_w=1e304", EXIT_INFEASIBLE, "selected_index = none\n"),
-    # P_t near the float maximum: the SNR is built from the finite incident power
-    ("solve", "transmit_power_w=1e300", EXIT_OK, "snr_opt_db = 3056.49"),
-    # P_ris / ceiling below 2^-53: A* is clamped below 1 and still harvests
-    ("solve", "transmit_power_w=1e300", EXIT_OK, "a_opt = 0.999999999\na_boundary = false\n"),
-    ("solve", "transmit_power_w=1e303", EXIT_CONFIG,
-     "overflows a float: transmit_power_w = 1e+303"),
-    # a 1e60 m span: the SNR follows cos(th_r) = y_s/r2 far below 1e-16
-    ("solve", "txrx_horizontal_m=1e60", EXIT_OK, "snr_opt_db = -1683.607562413"),
-    ("solve", "txrx_horizontal_m=1e100", EXIT_OK, "snr_opt_db = -2883.6075624135437\n"),
-    # the second hop leaves the normal floats: the SNR would read -inf or lose digits
-    ("solve", "txrx_horizontal_m=1e105", EXIT_CONFIG,
-     "underflows the normal floats: txrx_horizontal_m = 1e+105"),
-    ("solve", "txrx_horizontal_m=1e108", EXIT_CONFIG,
-     "underflows the normal floats: txrx_horizontal_m = 1e+108"),
-    ("solve", "transmit_power_w=1e-305 p_chip_w=0", EXIT_CONFIG,
-     "transmit_power_w = 1e-305 W leaves too little signal"),
-    ("solve", "txrx_horizontal_m=1e120", EXIT_CONFIG,
-     "underflows to 0 at r1h = 0: txrx_horizontal_m"),
-], ids=["solve_huge_draw", "select_site_huge_draw", "huge_tx_power", "huge_tx_power_amplitude",
-        "snr_overflow", "far_span", "farther_span", "snr_underflow_subnormal",
-        "snr_underflow_zero", "tiny_tx_power", "objective_underflow"])
-def test_extreme_finite_values_exit_cleanly(default_config_path, sites_config_path, capsys,
-                                            command, override, code, expected):
+def _argv(default_config_path, sites_config_path, tmp_path, command, options):
     argv = [command, "--config", str(default_config_path)]
-    for item in override.split():
-        argv += ["--override", item]
+    for item in options.split():
+        argv += [item] if item.startswith("--") else ["--override", item]
     if command == "select-site":
         argv += ["--sites", str(sites_config_path)]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "sweep.csv")]
+    return argv
+
+
+@pytest.mark.parametrize("command, options, key", OUT_OF_RANGE,
+                         ids=[f"{c}:{o.replace(' ', ',')}" for c, o, _ in OUT_OF_RANGE])
+def test_out_of_range_values_refused(default_config_path, sites_config_path, capsys, tmp_path,
+                                     command, options, key):
+    argv = _argv(default_config_path, sites_config_path, tmp_path, command, options)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"config error: {key} = ") and err.count("\n") == 1
+    assert " lies outside its range [" in err
+
+
+# in-range corners of the ranges keep their results
+@pytest.mark.parametrize("command, options, code, expected", [
+    # P_ris / ceiling below 2^-53: A* is clamped below 1 and still harvests
+    ("solve", "p_chip_w=1e-30", EXIT_OK, "a_opt = 0.999999999\na_boundary = false\n"),
+    # P_ris far above the ceiling is compared with it, never divided by it
+    ("solve", "p_chip_w=1e9", EXIT_INFEASIBLE, "feasible = false\n"),
+    ("select-site", "p_chip_w=1e9", EXIT_INFEASIBLE, "selected_index = none\n"),
+    # r2/y_s past 1e16: the SNR follows cos(th_r) = y_s/r2
+    ("solve", "txrx_horizontal_m=1e9 lateral_offset_m=1e-8 p_chip_w=1e-20", EXIT_OK,
+     "snr_opt_db = -325.7331642388936\n"),
+], ids=["amplitude_clamp", "solve_huge_draw", "select_site_huge_draw", "far_span"])
+def test_range_corners_solve_cleanly(default_config_path, sites_config_path, capsys, tmp_path,
+                                     command, options, code, expected):
+    argv = _argv(default_config_path, sites_config_path, tmp_path, command, options)
     got, out, err = run_cli(capsys, *argv)
     assert got == code
-    if code == EXIT_CONFIG:
-        assert out == "" and expected in err and err.count("\n") == 1
-    else:
-        assert expected in out and err == ""
+    assert expected in out and err == ""
 
 
 @pytest.mark.parametrize("overrides, message", [
     # zero draw scans the whole span: 1,000,010 grid points at 0.1 m
     (("p_chip_w=0", "txrx_horizontal_m=100001"), "error: the coarse placement scan"),
-    (("ris_rows=1000001", "ris_cols=1"), "config error: the surface has 1000001 elements"),
-], ids=["long_zero_draw_scan", "million_plus_elements"])
+    (("ris_rows=1000001", "ris_cols=1"), "config error: ris_rows = 1000001 lies outside its range"),
+    # each side in its range, the product over the element cap
+    (("ris_rows=1000", "ris_cols=1001"), "config error: the surface has 1001000 elements"),
+], ids=["long_zero_draw_scan", "million_plus_elements", "million_plus_element_product"])
 def test_user_sized_allocations_refused(default_config_path, capsys, overrides, message):
     argv = ["solve", "--config", str(default_config_path)]
     for item in overrides:

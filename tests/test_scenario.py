@@ -1,15 +1,25 @@
 """Config parsing, unit conversions, antenna/noise models, consumption arithmetic."""
 
 import math
+import re
+import sys
+import warnings
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risharvest.geometry import center_distances
+from risharvest.link import harvest_ceiling, incident_power, snr_cophased
+from risharvest.optimizer import evaluate_placement, placement_objective, solve_placement
 from risharvest.scenario import (
+    KEY_RANGES,
+    KNOWN_KEYS,
     SPEED_OF_LIGHT_M_S,
     ConfigError,
     PowerModel,
+    Scenario,
     apply_overrides,
     build_scenario,
     db,
@@ -314,3 +324,99 @@ def test_scenario_derived_quantities(scenario):
 def test_scenario_frozen(scenario):
     with pytest.raises(AttributeError):
         scenario.transmit_power_w = 2.0
+
+
+# -------------------------------------------------------------- config ranges
+
+_POWER_KEYS = frozenset(f.name for f in fields(PowerModel))
+
+
+def _with_value(key, value):
+    if key in _POWER_KEYS:
+        return PowerModel(**{key: value})
+    # one element 1 nm tall: no range end of a size or a height puts the
+    # surface below ground or over the element cap
+    base = default_scenario(ris_rows=1, ris_cols=1, element_dy_m=1e-9)
+    return replace(base, **{key: value})
+
+
+@pytest.mark.filterwarnings("ignore:.*below 10 wavelengths:UserWarning")
+def test_every_key_has_a_closed_range():
+    assert set(KEY_RANGES) == KNOWN_KEYS
+    for key, (lo, hi) in KEY_RANGES.items():
+        for value in (lo, hi):
+            assert getattr(_with_value(key, value), key) == value
+        bounds = re.escape(f"[{format_value(lo)}, {format_value(hi)}]")
+        for value in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            message = f"^{key} = {re.escape(format_value(value))} lies outside its range {bounds}$"
+            with pytest.raises(ConfigError, match=message):
+                _with_value(key, value)
+
+
+def _range_values(lo, hi):
+    """A key's low end, its high end, or a value between: log-uniform for a
+    range above 0, hypothesis's spread of floats for one that reaches 0."""
+    if lo > 0:
+        between = st.floats(math.log(lo), math.log(hi)).map(lambda u: min(max(math.exp(u), lo), hi))
+    else:
+        between = st.floats(lo, hi)
+    if isinstance(lo, int):
+        between = between.map(round)
+    return st.sampled_from((lo, hi)) | between
+
+
+def _normal(x):
+    return sys.float_info.min <= x < math.inf
+
+
+_RANGE_BOX = st.fixed_dictionaries(
+    {key: _range_values(lo, hi) for key, (lo, hi) in KEY_RANGES.items()}
+    | {"p_chip_w": st.none() | _range_values(*KEY_RANGES["p_chip_w"])}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RANGE_BOX, st.floats(-1e9, 1e9))
+def test_range_box_stays_in_the_normal_floats(values, site_r1h_m):
+    # every quantity the range checks replaced a guard for stays a finite,
+    # normal float, and a solve raises no RuntimeWarning (an error here)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # small dishes
+            sc = Scenario(
+                power_model=PowerModel(**{k: v for k, v in values.items() if k in _POWER_KEYS}),
+                **{k: v for k, v in values.items() if k not in _POWER_KEYS},
+            )
+    except ConfigError as exc:
+        # the two rules the ranges leave in place
+        assert re.search("elements, more than|below ground", str(exc))
+        return
+    lam4pi2 = (sc.wavelength_m / (4.0 * math.pi)) ** 2
+    r1_0, _ = center_distances(0.0, sc)
+    assert _normal(sc.noise_w)
+    assert _normal(sc.transmit_power_w * sc.tx_gain * lam4pi2)
+    assert _normal(harvest_ceiling(r1_0, sc))
+    assert math.isfinite(sc.txrx_horizontal_m ** 2)
+    assert math.isfinite(((sc.ris_rows - 1) * sc.element_dx_m) ** 2)
+    assert math.isfinite(((sc.ris_cols - 1) * sc.element_dy_m) ** 2)
+
+    placements = [site_r1h_m]
+    try:
+        sol = solve_placement(sc)
+    except ValueError as exc:
+        assert "coarse placement scan" in str(exc)
+    else:
+        if sol.feasible:
+            assert placement_objective(0.0, sol.p_ris_w, sc) > 0.0
+            placements.append(sol.r1h_opt_m)
+    for r1h in placements:
+        if not evaluate_placement(sc, r1h).feasible:
+            continue
+        # the SNR's partial products, in the order link forms them
+        r1, r2 = center_distances(r1h, sc)
+        hop1 = incident_power(r1, sc)
+        hop2_gain = lam4pi2 * sc.rx_gain * 4.0 * (sc.lateral_offset_m / r2)
+        hop2 = hop2_gain / r2 ** 2
+        partials = (lam4pi2 * sc.transmit_power_w, hop1, hop2_gain, hop2, hop1 * hop2,
+                    hop1 * hop2 / sc.noise_w, snr_cophased(r1h, 1.0, sc))
+        assert all(_normal(x) for x in partials), (r1h, partials)
