@@ -451,18 +451,31 @@ def test_surface_below_ground_by_override(default_config_path, capsys, override)
 # ------------------------------------------------------------ numeric bounds
 
 
+def _assert_range_refusal(code, out, err, key):
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"config error: {key} = ") and err.count("\n") == 1
+    assert " lies outside its range [" in err
+
+
+# values whose dB conversion or square overflows a float
+@pytest.mark.parametrize("override", [
+    "noise_figure_db=1e6", "carrier_frequency_hz=1e308", "lateral_offset_m=1e308",
+    "ris_height_m=1e308", "tx_height_m=1e308", "rx_height_m=1e308",
+])
+def test_numeric_overflow_is_one_line_error(default_config_path, capsys, override):
+    code, out, err = run_cli(
+        capsys, "solve", "--config", str(default_config_path), "--override", override,
+    )
+    _assert_range_refusal(code, out, err, override.split("=")[0])
+
+
 # (command, options, key the refusal names). An option is an override
-# KEY=VALUE or, starting with --, a flag=value. The first 26 inputs once
+# KEY=VALUE or, starting with --, a flag=value. The first 20 inputs once
 # reached guards against over- and underflow in scenario, link and optimizer,
 # which the ranges have made unreachable; the last four squared a length
 # past the float maximum and named no key.
 OUT_OF_RANGE = [
-    ("solve", "noise_figure_db=1e6", "noise_figure_db"),
-    ("solve", "carrier_frequency_hz=1e308", "carrier_frequency_hz"),
-    ("solve", "lateral_offset_m=1e308", "lateral_offset_m"),
-    ("solve", "ris_height_m=1e308", "ris_height_m"),
-    ("solve", "tx_height_m=1e308", "tx_height_m"),
-    ("solve", "rx_height_m=1e308", "rx_height_m"),
     ("solve", "bandwidth_hz=1e-320", "bandwidth_hz"),
     ("solve", "element_dx_m=1e308", "element_dx_m"),
     ("solve", "element_dy_m=1e308", "element_dy_m"),
@@ -506,11 +519,7 @@ def _argv(default_config_path, sites_config_path, tmp_path, command, options):
 def test_out_of_range_values_refused(default_config_path, sites_config_path, capsys, tmp_path,
                                      command, options, key):
     argv = _argv(default_config_path, sites_config_path, tmp_path, command, options)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == EXIT_CONFIG
-    assert out == ""
-    assert err.startswith(f"config error: {key} = ") and err.count("\n") == 1
-    assert " lies outside its range [" in err
+    _assert_range_refusal(*run_cli(capsys, *argv), key)
 
 
 # in-range corners of the ranges keep their results
