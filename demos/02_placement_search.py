@@ -9,7 +9,7 @@ the solution, which makes the two-lobed shape easy to inspect.
 
 import numpy as np
 
-from risharvest import PowerModel, default_scenario, solve_placement
+from risharvest import default_scenario, solve_placement
 
 sc = default_scenario()
 sol = solve_placement(sc)
@@ -39,9 +39,7 @@ for r in np.linspace(r_lo, r_hi, 12):
 
 # an infeasible configuration reports cleanly instead of guessing; hungrier
 # chips push the per-element draw past the harvest ceiling everywhere
-hungry = solve_placement(default_scenario(
-    power_model=PowerModel(n_rectifiers=100, p_rectifier_w=0.0, p_chip_w=1e-4)
-))
+hungry = solve_placement(default_scenario(p_chip_w=1e-4))
 print()
 print("100 uW chips:", "feasible" if hungry.feasible else "infeasible",
       f"(surface draw {hungry.p_ris_w * 1e3:.0f} mW exceeds any harvest here)")

