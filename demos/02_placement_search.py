@@ -3,8 +3,8 @@ surface harvests exactly what it consumes.
 
 The phases and the uniform amplitude have closed forms once the placement is
 fixed, so the search is one-dimensional: a coarse scan of the reduced
-objective plus golden-section refinement. The sampled curve comes back with
-the solution, which makes the two-lobed shape easy to inspect.
+objective, then finer scans around its best point. The coarse curve comes
+back with the solution, which makes the two-lobed shape easy to inspect.
 """
 
 import numpy as np

@@ -53,15 +53,13 @@ def element_grid(scenario: Scenario) -> ElementGrid:
 
 def center_distances(r1h_m, scenario: Scenario):
     """TX-to-center and center-to-RX distances (r1, r2), the one center-geometry
-    kernel. Accepts scalar r1h (returns Python floats) or an array."""
+    kernel. Returns arrays of r1h's shape, 0-d for a scalar r1h."""
     r1h = np.asarray(r1h_m, dtype=float)
     ys = scenario.lateral_offset_m
     dz_t = scenario.ris_height_m - scenario.tx_height_m
     dz_r = scenario.ris_height_m - scenario.rx_height_m
     r1 = np.sqrt(r1h ** 2 + ys ** 2 + dz_t ** 2)
     r2 = np.sqrt((scenario.txrx_horizontal_m - r1h) ** 2 + ys ** 2 + dz_r ** 2)
-    if np.isscalar(r1h_m):
-        return float(r1), float(r2)
     return r1, r2
 
 

@@ -62,7 +62,7 @@ def path_phase_rad(r1h_m: float, grid: geometry.ElementGrid, scenario: Scenario)
 
 def incident_power(r1, scenario: Scenario):
     """Power impinging on one element, (lambda/4pi)^2 P_t G_t 4 cos(th_i) / r1^2
-    with cos(th_i) = y_s/r1, at the center distance r1 (scalar or array)."""
+    with cos(th_i) = y_s/r1, elementwise over the center distances r1."""
     lam = scenario.wavelength_m
     return ((lam / (4.0 * math.pi)) ** 2 * scenario.transmit_power_w * scenario.tx_gain
             * 4.0 * (scenario.lateral_offset_m / r1) / r1 ** 2)
@@ -112,12 +112,12 @@ def snr_explicit(r1h_m: float, reflection: ReflectionState, scenario: Scenario):
     return float(snr) if terms.ndim == 2 else snr
 
 
-def snr_cophased(r1h_m: float, uniform_a: float, scenario: Scenario) -> float:
+def snr_cophased(r1h_m, uniform_a: float, scenario: Scenario):
     """Received SNR when all elements are co-phased at uniform amplitude.
 
     Closed form 16 * P_t G_t G_r (lambda/4pi)^4 M_s^2 A^2
     * cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2), computed as the SNR at A = 1
-    times A^2 so the quadratic amplitude law is exact.
+    times A^2 so the quadratic amplitude law is exact, elementwise over r1h.
     """
     if not 0.0 <= uniform_a <= 1.0:
         raise ValueError("uniform_a must lie in [0, 1]")

@@ -7,7 +7,7 @@ What is left is a one-dimensional search over r1h of a reduced objective.
 The harvest ceiling falls monotonically with r1h, so the feasible placements
 form one interval [0, r1h_f] known in closed form: the search returns
 infeasible without scanning when r1h = 0 is infeasible, and otherwise scans a
-coarse grid up to r1h_f and refines with golden section inside that interval.
+coarse grid up to r1h_f and rescans ever finer around its maximum.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ from .scenario import Scenario, db
 
 # interior reporting clamp; the physical amplitude interval is open (0, 1)
 _EPS_A = 1e-9
-# placement search: coarse grid step from r1h = 0 and golden-section iterations;
-# 26 shrink the 0.2 m bracket to 0.2 * 0.618^26 = 0.74 um, and below about 1 um
+# placement search: coarse grid step from r1h = 0, then zoom rounds that each
+# scan the best point's two neighbours with _ZOOM_POINTS points; 3 rounds of 101
+# shrink the 0.2 m bracket to a 0.8 um spacing, and below about 1 um
 # comparisons of the objective are mostly decided by rounding
 _COARSE_STEP_M = 0.1
-_REFINE_ITERATIONS = 26
+_ZOOM_ROUNDS = 3
+_ZOOM_POINTS = 101
 # the scanned span is a user number; a longer scan is refused before allocating
 _MAX_COARSE_POINTS = 1_000_000
 
@@ -83,10 +85,11 @@ def placement_objective(r1h_m, p_ris_w: float, scenario: Scenario):
     G(r1h) = cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2) * (1 - P_ris / ceiling)
            = y_s^2 / (sigma^2 (r1 r2)^3) * (1 - P_ris / ceiling),
     with cos(th) = y_s/r and the ceiling of link.harvest_ceiling; one
-    center_distances call per point feeds both factors, and the first form's
-    order keeps (r1 r2)^3 from overflowing on long spans. Negative where the
-    placement is infeasible; the search never selects those values. Accepts
-    scalar or array r1h. The optimal SNR is
+    center_distances call feeds both factors, and the first form's order
+    keeps (r1 r2)^3 from overflowing on long spans. Negative where the
+    placement is infeasible; the search never selects those values. Returns
+    an array of r1h's shape, 0-d for a scalar r1h; the search scores each
+    whole scan in one call. The optimal SNR is
     16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
     """
     r1, r2 = geometry.center_distances(r1h_m, scenario)
@@ -123,7 +126,7 @@ def evaluate_placement(
     boundary = p_ris == 0.0 or a == 0.0
     if not boundary:
         a = min(max(a, _EPS_A), 1.0 - _EPS_A)
-    snr = link.snr_cophased(r1h_m, a, scenario)
+    snr = float(link.snr_cophased(r1h_m, a, scenario))
     return PlacementSolution(
         feasible=True,
         p_ris_w=p_ris,
@@ -137,25 +140,6 @@ def evaluate_placement(
     )
 
 
-def _golden_section_max(g, lo: float, hi: float, iterations: int) -> float:
-    # shrink the bracket around the maximum; ties keep the left interval so
-    # the lowest placement wins
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(iterations):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = g(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = g(x2)
-    return 0.5 * (lo + hi)
-
-
 def _feasible_limit_m(p_ris_w: float, scenario: Scenario) -> float | None:
     """Largest feasible r1h, or None when not even r1h = 0 is feasible.
 
@@ -164,8 +148,8 @@ def _feasible_limit_m(p_ris_w: float, scenario: Scenario) -> float | None:
     r1h_f^2 = r1_f^2 - r1(0)^2. Infinite at zero consumption. P_ris is
     compared with the ceiling before either divides the other.
     """
-    r1_0, _ = geometry.center_distances(0.0, scenario)
-    ceiling_0 = link.harvest_ceiling(r1_0, scenario)
+    r1_0 = float(geometry.center_distances(0.0, scenario)[0])
+    ceiling_0 = float(link.harvest_ceiling(r1_0, scenario))
     if not p_ris_w < ceiling_0:
         return None
     if p_ris_w == 0.0:
@@ -180,10 +164,11 @@ def solve_placement(scenario: Scenario) -> PlacementSolution:
 
     Infeasible at once when r1h = 0 cannot cover the consumption. Otherwise
     the 0.1 m grid is scanned up to the closed-form feasible limit r1h_f, and
-    golden section refines the bracket one grid step each side of the coarse
-    argmax, clamped to [0, min(r_h, r1h_f)]. Exact grid ties go to the lowest
-    r1h. The solution carries the feasible grid points with their objective
-    values as objective_curve, empty (shape (0, 2)) when infeasible.
+    _ZOOM_ROUNDS rounds rescan the span between the best point's neighbours
+    with _ZOOM_POINTS points, unclamped: the grid ends at r_h and its point
+    past r1h_f scores negative. Each scan is one array call; ties go to the
+    lowest r1h. objective_curve holds the feasible grid points and their
+    objective values, empty (shape (0, 2)) when infeasible.
     """
     p_ris = scenario.p_ris_w
     limit = _feasible_limit_m(p_ris, scenario)
@@ -208,15 +193,14 @@ def solve_placement(scenario: Scenario) -> PlacementSolution:
     feasible = objective > 0.0
     curve = np.column_stack((grid[feasible], objective[feasible]))
 
-    # np.argmax takes the first (lowest-r) max
-    r_best = curve[int(np.argmax(curve[:, 1])), 0]
-
-    def g(r):
-        return float(placement_objective(r, p_ris, scenario))
-
-    lo = max(r_best - _COARSE_STEP_M, 0.0)
-    hi = min(r_best + _COARSE_STEP_M, r_h, limit)
-    r_star = _golden_section_max(g, lo, hi, _REFINE_ITERATIONS)
+    points, values = grid, objective
+    for _ in range(_ZOOM_ROUNDS):
+        # np.argmax takes the first (lowest-r) max
+        k = int(np.argmax(values))
+        points = np.linspace(points[max(k - 1, 0)], points[min(k + 1, points.size - 1)],
+                             _ZOOM_POINTS)
+        values = placement_objective(points, p_ris, scenario)
+    r_star = points[int(np.argmax(values))]
     return evaluate_placement(scenario, r_star, p_ris, objective_curve=curve)
 
 

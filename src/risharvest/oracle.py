@@ -52,9 +52,10 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
     up to a 523 m span). A column's uniform-amplitude harvest is its ceiling
     times (1 - a^2); columns whose ceiling cannot cover the consumption are
     dropped, the others keep the lattice amplitude whose harvest lands nearest
-    it, and the kept point with maximal co-phased SNR wins; exact ties go to
-    the lowest r1h. Steps must be positive and finite, and lattices above
-    _MAX_LATTICE_POINTS points are refused before anything is allocated.
+    it; one link.snr_cophased call at A = 1, times a^2, scores a block, and the
+    kept point with maximal SNR wins; ties go to the lowest r1h. Steps must be
+    positive and finite, and lattices above _MAX_LATTICE_POINTS points are
+    refused before anything is allocated.
     """
     if not (0.0 < r1h_step_m < math.inf and 0.0 < a_step < math.inf):
         raise ValueError("lattice steps must be positive and finite")
@@ -76,11 +77,11 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
             continue
         p_harv = ceiling[keep, None] * (1.0 - a_grid ** 2)
         picks = np.argmin(np.abs(p_harv - p_ris), axis=1)
-        for r, k, harv in zip(r_grid[keep], picks, p_harv[np.arange(picks.size), picks]):
-            a = float(a_grid[k])
-            snr = link.snr_cophased(float(r), a, scenario)
-            if best is None or snr > best[2]:
-                best = (float(r), a, snr, float(harv))
+        a = a_grid[picks]
+        snr = link.snr_cophased(r_grid[keep], 1.0, scenario) * (a * a)
+        k = int(np.argmax(snr))
+        if best is None or snr[k] > best[2]:
+            best = (float(r_grid[keep][k]), float(a[k]), float(snr[k]), float(p_harv[k, picks[k]]))
 
     if best is None:
         return OracleResult(feasible=False, r1h_step_m=r1h_step_m, a_step=a_step)

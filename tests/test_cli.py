@@ -550,7 +550,11 @@ def test_out_of_range_values_refused(default_config_path, sites_config_path, cap
     # r2/y_s past 1e16: the SNR follows cos(th_r) = y_s/r2
     ("solve", "txrx_horizontal_m=1e9 lateral_offset_m=1e-8 p_chip_w=1e-20", EXIT_OK,
      "snr_opt_db = -325.7331642388936\n"),
-], ids=["amplitude_clamp", "solve_huge_draw", "select_site_huge_draw", "far_span"])
+    # a subnormal P_ris: the feasible limit's ceiling / P_ris overflows to inf
+    # in Python floats, not with a numpy warning
+    ("solve", "p_chip_w=5e-324", EXIT_OK, "feasible = true\n"),
+], ids=["amplitude_clamp", "solve_huge_draw", "select_site_huge_draw", "far_span",
+        "subnormal_draw"])
 def test_range_corners_solve_cleanly(default_config_path, sites_config_path, capsys, tmp_path,
                                      command, options, code, expected):
     argv = _argv(default_config_path, sites_config_path, tmp_path, command, options)

@@ -285,8 +285,8 @@ def test_near_1nw_tracks_pure_snr_optimum(scenario):
 
 
 def test_feasible_solve_objective_calls(monkeypatch, scenario):
-    # one array call scans the coarse grid; golden section evaluates its two
-    # interior points and then one point per iteration
+    # one array call scans the coarse grid and one more scans each zoom
+    # round's bracket; no placement is ever scored alone
     calls = {"array": 0, "scalar": 0}
     fn = optimizer_module.placement_objective
 
@@ -296,7 +296,7 @@ def test_feasible_solve_objective_calls(monkeypatch, scenario):
 
     monkeypatch.setattr(optimizer_module, "placement_objective", counted)
     assert solve_placement(scenario).feasible
-    assert calls == {"array": 1, "scalar": 28}
+    assert calls == {"array": 1 + optimizer_module._ZOOM_ROUNDS, "scalar": 0}
 
 
 def stationarity(x, scenario):
@@ -318,16 +318,16 @@ def stationarity(x, scenario):
 @example({"txrx_horizontal_m": 4771.0, "lateral_offset_m": 0.3125, "tx_height_m": 10.0,
           "rx_height_m": 2.0, "ris_height_m": 9.526867885115209}, 0.0)
 # a mirror-symmetric zero-draw scene whose maximum at the midpoint is quartic:
-# 40 iterations stop 3.8e-4 m from it
+# three or more zoom rounds stop 6.1e-4 m from it
 @example({"txrx_horizontal_m": 10.0, "lateral_offset_m": 3.0, "tx_height_m": 1.0,
           "rx_height_m": 1.0, "ris_height_m": 5.0}, 0.0)
-# 24 iterations (a 2.1 um bracket) lose 1.15e-11 of the SNR here
+# two zoom rounds (a 40 um spacing) lose 3.0e-10 of the SNR here
 @example({"txrx_horizontal_m": 5000.0, "lateral_offset_m": 0.5, "tx_height_m": 1.0,
           "rx_height_m": 2.0, "ris_height_m": 1.5}, 0.99)
 def test_refined_placement_meets_true_optimum(geometry, share):
     # the true optimum x* is the root of F, found by float bisection. The
-    # refinement must stop within the objective's rounding floor, which 40
-    # iterations do not beat: its SNR within 1e-11 of the optimum's, and its
+    # refinement must stop within the objective's rounding floor, which more
+    # zoom rounds do not beat: its SNR within 1e-11 of the optimum's, and its
     # placement error costing at most 1e-11 of the SNR by the curvature
     # G''/G at x*, so a flat maximum leaves r1h free and a sharp one does not
     sc = default_scenario(**geometry)
