@@ -2,9 +2,10 @@
 surface harvests exactly what it consumes.
 
 The phases and the uniform amplitude have closed forms once the placement is
-fixed, so the search is one-dimensional: a coarse scan of the reduced
-objective, then finer scans around its best point. The coarse curve comes
-back with the solution, which makes the two-lobed shape easy to inspect.
+fixed, so the search is one-dimensional: [0, r_h] is split into ever finer
+cells, and a cell is dropped once a bound shows it cannot hold the maximum.
+The first scan, 101 points across the street, comes back with the solution,
+which makes the two-lobed shape easy to inspect.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ print("optimal SNR            :", round(sol.snr_opt_db, 3), "dB")
 print("harvested power        :", sol.p_harv_w * 1e3, "mW (= consumption)")
 print()
 
-# the coarse trace shows why the search is near the TX: the harvest ceiling
+# the first scan shows why the optimum is near the TX: the harvest ceiling
 # falls off with distance much faster than the SNR shape changes
 curve = sol.objective_curve
 feasible = curve[:, 1] > 0

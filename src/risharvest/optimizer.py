@@ -3,11 +3,14 @@
 Phases and amplitude have closed forms once the placement r1h is fixed: the
 phases cancel the per-element propagation phase, and the uniform amplitude is
 pinned by requiring harvested power to equal the surface consumption exactly.
-What is left is a one-dimensional search over r1h of a reduced objective.
-The harvest ceiling falls monotonically with r1h, so the feasible placements
-form one interval [0, r1h_f] known in closed form: the search returns
-infeasible without scanning when r1h = 0 is infeasible, and otherwise scans a
-coarse grid up to r1h_f and rescans ever finer around its maximum.
+What is left is a one-dimensional search over r1h of a reduced objective, the
+product of a first-hop factor that falls as r1h grows and a second-hop factor
+that rises on [0, r_h]. The harvest ceiling falls with r1h too, so the search
+returns infeasible without scanning when r1h = 0 is infeasible; otherwise it
+splits [0, r_h] into ever finer cells and drops every cell whose bound, the
+first factor at its left edge times the second at its right, cannot beat the
+best value found by more than _PRUNE_REL, unless it lies next to the best
+point.
 """
 
 from __future__ import annotations
@@ -22,15 +25,18 @@ from .scenario import Scenario, db
 
 # interior reporting clamp; the physical amplitude interval is open (0, 1)
 _EPS_A = 1e-9
-# placement search: coarse grid step from r1h = 0, then zoom rounds that each
-# scan the best point's two neighbours with _ZOOM_POINTS points; 3 rounds of 101
-# shrink the 0.2 m bracket to a 0.8 um spacing, and below about 1 um
+# placement search: each round splits every kept cell into _SPLIT equal cells
+# and scores all their edges in one array call, until the cells are _STOP_M
+# wide or 2^-50 r_h, where the floats near r_h are coarser. Below about 0.1 um
 # comparisons of the objective are mostly decided by rounding
-_COARSE_STEP_M = 0.1
-_ZOOM_ROUNDS = 3
-_ZOOM_POINTS = 101
-# the scanned span is a user number; a longer scan is refused before allocating
-_MAX_COARSE_POINTS = 1_000_000
+_SPLIT = 100
+_STOP_M = 1e-7
+# a cell is kept while its bound beats the best value by more than this, or
+# while its centre is within one cell width of the best point
+_PRUNE_REL = 1e-3
+# values within this of a scan's maximum tie, and ties go to the lowest r1h;
+# the two lobes of a mirror-symmetric scene tie within rounding
+_TIE_REL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class PlacementSolution:
     snr_opt_linear: float | None = None
     snr_opt_db: float | None = None
     p_harv_w: float | None = None
-    objective_curve: np.ndarray | None = None  # (r1h, objective) at feasible grid points
+    objective_curve: np.ndarray | None = None  # (r1h, objective) at the first scan's feasible points
 
 
 @dataclass(frozen=True)
@@ -79,23 +85,31 @@ def optimal_phases(r1h_m: float, scenario: Scenario) -> np.ndarray:
     return -link.path_phase_rad(r1h_m, grid, scenario)
 
 
+def _objective_factors(r1h_m, p_ris_w: float, scenario: Scenario):
+    """The reduced objective's first-hop and second-hop factors,
+    y_s/r1^3 * (1 - P_ris / ceiling) and y_s/(r2^3 sigma^2), from one
+    center_distances call. The first falls as r1h grows and the second rises
+    on [0, r_h], so on any cell [u, v] the objective is at most
+    first(u) * second(v)."""
+    r1, r2 = geometry.center_distances(r1h_m, scenario)
+    ys = scenario.lateral_offset_m
+    first = (ys / r1) / r1 ** 2 * (1.0 - p_ris_w / link.harvest_ceiling(r1, scenario))
+    return first, (ys / r2) / (r2 ** 2 * scenario.noise_w)
+
+
 def placement_objective(r1h_m, p_ris_w: float, scenario: Scenario):
     """Reduced placement objective after phases and amplitude are eliminated.
 
     G(r1h) = cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2) * (1 - P_ris / ceiling)
            = y_s^2 / (sigma^2 (r1 r2)^3) * (1 - P_ris / ceiling),
-    with cos(th) = y_s/r and the ceiling of link.harvest_ceiling; one
-    center_distances call feeds both factors, and the first form's order
-    keeps (r1 r2)^3 from overflowing on long spans. Negative where the
-    placement is infeasible; the search never selects those values. Returns
-    an array of r1h's shape, 0-d for a scalar r1h; the search scores each
-    whole scan in one call. The optimal SNR is
-    16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
+    with cos(th) = y_s/r and the ceiling of link.harvest_ceiling, formed as
+    the product of one factor per hop, so (r1 r2)^3 never overflows on long
+    spans. Negative where the placement is infeasible; the search never
+    selects those values. Returns an array of r1h's shape, 0-d for a scalar
+    r1h. The optimal SNR is 16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
     """
-    r1, r2 = geometry.center_distances(r1h_m, scenario)
-    ys = scenario.lateral_offset_m
-    snr_shape = (ys / r1) * (ys / r2) / (r1 ** 2 * r2 ** 2 * scenario.noise_w)
-    return snr_shape * (1.0 - p_ris_w / link.harvest_ceiling(r1, scenario))
+    first, second = _objective_factors(r1h_m, p_ris_w, scenario)
+    return first * second
 
 
 def evaluate_placement(
@@ -140,68 +154,47 @@ def evaluate_placement(
     )
 
 
-def _feasible_limit_m(p_ris_w: float, scenario: Scenario) -> float | None:
-    """Largest feasible r1h, or None when not even r1h = 0 is feasible.
-
-    The harvest ceiling C*y_s/r1^3 falls as r1h grows, so the feasible
-    placements are [0, r1h_f]: r1_f = r1(0) * (ceiling(0)/P_ris)^(1/3) and
-    r1h_f^2 = r1_f^2 - r1(0)^2. Infinite at zero consumption. P_ris is
-    compared with the ceiling before either divides the other.
-    """
-    r1_0 = float(geometry.center_distances(0.0, scenario)[0])
-    ceiling_0 = float(link.harvest_ceiling(r1_0, scenario))
-    if not p_ris_w < ceiling_0:
-        return None
-    if p_ris_w == 0.0:
-        return math.inf
-    # Python floats: a vanishing P_ris gives inf, not a numpy overflow warning
-    r1_f = r1_0 * (ceiling_0 / p_ris_w) ** (1.0 / 3.0)
-    return math.sqrt(max(r1_f * r1_f - r1_0 * r1_0, 0.0))
-
-
 def solve_placement(scenario: Scenario) -> PlacementSolution:
     """Search r1h in [0, r_h] for the maximum of the reduced placement objective.
 
     Infeasible at once when r1h = 0 cannot cover the consumption. Otherwise
-    the 0.1 m grid is scanned up to the closed-form feasible limit r1h_f, and
-    _ZOOM_ROUNDS rounds rescan the span between the best point's neighbours
-    with _ZOOM_POINTS points, unclamped: the grid ends at r_h and its point
-    past r1h_f scores negative. Each scan is one array call; ties go to the
-    lowest r1h. objective_curve holds the feasible grid points and their
+    each round splits every kept cell, starting from [0, r_h], into _SPLIT
+    equal cells, scores their edges in one array call and keeps a cell only
+    while its bound first(left) * second(right) beats the best value by more
+    than _PRUNE_REL, or while its centre is within one cell width of the best
+    point. The best point moves only on a gain above _TIE_REL and is the
+    lowest r1h within _TIE_REL of its scan's maximum. The rounds stop at
+    _STOP_M, so the number of points does not grow with the span.
+    objective_curve holds the first scan's feasible points and their
     objective values, empty (shape (0, 2)) when infeasible.
     """
     p_ris = scenario.p_ris_w
-    limit = _feasible_limit_m(p_ris, scenario)
-    if limit is None:
+    r1_0, _ = geometry.center_distances(0.0, scenario)
+    if not p_ris < link.harvest_ceiling(r1_0, scenario):
         return PlacementSolution(feasible=False, p_ris_w=p_ris, objective_curve=np.empty((0, 2)))
 
     r_h = scenario.txrx_horizontal_m
-    span = min(r_h, limit)
-    if span / _COARSE_STEP_M >= _MAX_COARSE_POINTS:
-        raise ValueError(f"the coarse placement scan up to {span!r} m needs more than "
-                         f"{_MAX_COARSE_POINTS} points of {_COARSE_STEP_M} m")
-    # the grid is the step multiples up to r_h (within 1e-9 of a step), then
-    # r_h itself. Only the multiples up to span and two more are built; the
-    # cut keeps one point past r1h_f, which absorbs its rounding and which the
-    # objective > 0 mask drops
-    n_last = math.floor(min(r_h / _COARSE_STEP_M + 1e-9, span / _COARSE_STEP_M + 2.0))
-    grid = _COARSE_STEP_M * np.arange(n_last + 1)
-    if grid[-1] < r_h - 1e-12:
-        grid = np.append(grid, r_h)
-    grid = grid[: np.searchsorted(grid, limit, side="right") + 1]
-    objective = placement_objective(grid, p_ris, scenario)
-    feasible = objective > 0.0
-    curve = np.column_stack((grid[feasible], objective[feasible]))
-
-    points, values = grid, objective
-    for _ in range(_ZOOM_ROUNDS):
-        # np.argmax takes the first (lowest-r) max
-        k = int(np.argmax(values))
-        points = np.linspace(points[max(k - 1, 0)], points[min(k + 1, points.size - 1)],
-                             _ZOOM_POINTS)
-        values = placement_objective(points, p_ris, scenario)
-    r_star = points[int(np.argmax(values))]
-    return evaluate_placement(scenario, r_star, p_ris, objective_curve=curve)
+    stop = max(_STOP_M, 2.0 ** -50 * r_h)
+    lefts, width = np.zeros(1), r_h
+    best_r, best_g, curve = 0.0, -math.inf, None
+    while True:
+        width /= _SPLIT
+        edges = lefts[:, None] + width * np.arange(_SPLIT + 1)
+        first, second = _objective_factors(edges, p_ris, scenario)
+        values = first * second
+        if curve is None:
+            feasible = values[0] > 0.0
+            curve = np.column_stack((edges[0, feasible], values[0, feasible]))
+        top = values.max()
+        if top > best_g * (1.0 + _TIE_REL):
+            best_g, best_r = top, edges[values >= top * (1.0 - _TIE_REL)].min()
+        if width <= stop:
+            break
+        cells = edges[:, :-1]
+        keep = ((first[:, :-1] * second[:, 1:] > best_g * (1.0 + _PRUNE_REL))
+                | (np.abs(cells + width / 2 - best_r) <= width))
+        lefts = cells[keep]
+    return evaluate_placement(scenario, best_r, p_ris, objective_curve=curve)
 
 
 def select_site(candidates, p_ris_w: float | None = None) -> SiteSelection:

@@ -107,9 +107,10 @@ def test_solve_objective_curve(default_config_path, capsys, tmp_path):
     assert code == EXIT_OK
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "r1h_m,objective"
-    # the feasible grid points only: 0..34.6 m at 0.1 m, short of r1h_f = 34.655 m
+    # the first scan's feasible points only: 0..34 m at r_h/100 = 1 m, short
+    # of r1h_f = 34.655 m
     rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    assert [r for r, _ in rows] == [0.1 * k for k in range(347)]
+    assert [r for r, _ in rows] == [float(k) for k in range(35)]
     assert all(g > 0.0 for _, g in rows)
     assert f"objective_curve_csv = {out_csv}" in out
 
@@ -303,6 +304,16 @@ def test_validate_default_passes(default_config_path, capsys):
     ratio = float(kv["phase_check_ratio"])
     assert 0.9619397662556434 <= ratio <= 1 + 1e-9
     assert err == ""
+
+
+def test_validate_zero_draw_passes(default_config_path, capsys):
+    # equal TX and RX heights: at zero draw the two lobes tie within rounding,
+    # and the search, like the oracle, takes the one nearer the TX
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path),
+                             "--override", "p_chip_w=0")
+    assert code == EXIT_OK and err == ""
+    kv = parse_kv(out)
+    assert kv["verdict"] == "pass"
 
 
 def test_validate_loose_grid_fails_classified(default_config_path, capsys):
@@ -550,11 +561,13 @@ def test_out_of_range_values_refused(default_config_path, sites_config_path, cap
     # r2/y_s past 1e16: the SNR follows cos(th_r) = y_s/r2
     ("solve", "txrx_horizontal_m=1e9 lateral_offset_m=1e-8 p_chip_w=1e-20", EXIT_OK,
      "snr_opt_db = -325.7331642388936\n"),
-    # a subnormal P_ris: the feasible limit's ceiling / P_ris overflows to inf
-    # in Python floats, not with a numpy warning
+    # a subnormal P_ris: ceiling / P_ris is never formed, so nothing overflows
     ("solve", "p_chip_w=5e-324", EXIT_OK, "feasible = true\n"),
+    # zero draw searches the whole span, in as many points at 100 km as at 100 m
+    ("solve", "p_chip_w=0 txrx_horizontal_m=100001", EXIT_OK, "feasible = true\n"),
+    ("solve", "txrx_horizontal_m=1e9 p_chip_w=0", EXIT_OK, "feasible = true\n"),
 ], ids=["amplitude_clamp", "solve_huge_draw", "select_site_huge_draw", "far_span",
-        "subnormal_draw"])
+        "subnormal_draw", "long_zero_draw_scan", "longest_zero_draw_scan"])
 def test_range_corners_solve_cleanly(default_config_path, sites_config_path, capsys, tmp_path,
                                      command, options, code, expected):
     argv = _argv(default_config_path, sites_config_path, tmp_path, command, options)
@@ -564,12 +577,10 @@ def test_range_corners_solve_cleanly(default_config_path, sites_config_path, cap
 
 
 @pytest.mark.parametrize("overrides, message", [
-    # zero draw scans the whole span: 1,000,010 grid points at 0.1 m
-    (("p_chip_w=0", "txrx_horizontal_m=100001"), "error: the coarse placement scan"),
     (("ris_rows=1000001", "ris_cols=1"), "config error: ris_rows = 1000001 lies outside its range"),
     # each side in its range, the product over the element cap
     (("ris_rows=1000", "ris_cols=1001"), "config error: the surface has 1001000 elements"),
-], ids=["long_zero_draw_scan", "million_plus_elements", "million_plus_element_product"])
+], ids=["million_plus_elements", "million_plus_element_product"])
 def test_user_sized_allocations_refused(default_config_path, capsys, overrides, message):
     argv = ["solve", "--config", str(default_config_path)]
     for item in overrides:

@@ -1,6 +1,7 @@
 """Closed-form phases/amplitude, reduced placement objective, search, site pick."""
 
 import inspect
+import itertools
 import math
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from risharvest.optimizer import (
     solve_placement,
 )
 from risharvest.oracle import brute_force_solve
-from risharvest.scenario import default_scenario
+from risharvest.scenario import ConfigError, default_scenario
 
 
 def with_chip_power(scenario, p_chip_w):
@@ -284,19 +285,67 @@ def test_near_1nw_tracks_pure_snr_optimum(scenario):
     assert min(abs(sol.r1h_opt_m - pure.r1h_m), abs(sol.r1h_opt_m - mirrored)) <= 0.01
 
 
-def test_feasible_solve_objective_calls(monkeypatch, scenario):
-    # one array call scans the coarse grid and one more scans each zoom
-    # round's bracket; no placement is ever scored alone
-    calls = {"array": 0, "scalar": 0}
-    fn = optimizer_module.placement_objective
+def count_factor_calls(monkeypatch):
+    # the search scores placements only through the objective's two factors
+    calls = {"array": 0, "scalar": 0, "points": 0}
+    fn = optimizer_module._objective_factors
 
     def counted(r1h_m, *args):
         calls["array" if np.ndim(r1h_m) else "scalar"] += 1
+        calls["points"] += np.size(r1h_m)
         return fn(r1h_m, *args)
 
-    monkeypatch.setattr(optimizer_module, "placement_objective", counted)
+    monkeypatch.setattr(optimizer_module, "_objective_factors", counted)
+    return calls
+
+
+def test_feasible_solve_objective_calls(monkeypatch, scenario):
+    # one array call per round, each round cutting the cells _SPLIT times
+    # finer from [0, r_h] down to _STOP_M; no placement is ever scored alone
+    calls = count_factor_calls(monkeypatch)
     assert solve_placement(scenario).feasible
-    assert calls == {"array": 1 + optimizer_module._ZOOM_ROUNDS, "scalar": 0}
+    rounds = math.ceil(math.log(scenario.txrx_horizontal_m / optimizer_module._STOP_M)
+                       / math.log(optimizer_module._SPLIT))
+    assert calls["scalar"] == 0
+    assert 1 <= calls["array"] <= rounds
+
+
+CORNERS = (1e-9, 1e-3, 1.0, 1e3, 1e9)
+
+
+def test_range_corners_solve_in_bounded_points(monkeypatch, scenario):
+    # span, y_s and the three heights each at five corners of their ranges,
+    # at zero, half and nearly all of the autonomy threshold: every scene
+    # Scenario accepts solves, the number of points does not grow with the
+    # span, and r_h = 1e9 m takes at most twice the rounds of r_h = 100 m
+    calls = count_factor_calls(monkeypatch)
+    solve_placement(scenario)
+    rounds_100m = calls["array"]
+    solved, most_points, most_rounds_1e9 = 0, 0, 0
+    for span, ys, h_t, h_r, h_s in itertools.product(CORNERS, repeat=5):
+        try:
+            sc = default_scenario(txrx_horizontal_m=span, lateral_offset_m=ys, tx_height_m=h_t,
+                                  rx_height_m=h_r, ris_height_m=h_s)
+        except ConfigError as exc:
+            assert "below ground" in str(exc)
+            continue
+        for share in (0.0, 0.5, 0.999):
+            try:
+                drawn = with_chip_power(sc, share * float(harvest_ceiling(0.0, sc)) / sc.m_s)
+            except ConfigError as exc:
+                assert str(exc).startswith("p_chip_w = ")
+                continue
+            calls.update(array=0, scalar=0, points=0)
+            sol = solve_placement(drawn)
+            assert sol.feasible and sol.objective_curve.shape[1] == 2
+            assert calls["array"] >= 1 and calls["scalar"] == 0
+            solved += 1
+            most_points = max(most_points, calls["points"])
+            if span == 1e9:
+                most_rounds_1e9 = max(most_rounds_1e9, calls["array"])
+    assert solved == 5475
+    assert most_points <= 4000
+    assert most_rounds_1e9 <= 2 * rounds_100m
 
 
 def stationarity(x, scenario):
@@ -318,29 +367,26 @@ def stationarity(x, scenario):
 @example({"txrx_horizontal_m": 4771.0, "lateral_offset_m": 0.3125, "tx_height_m": 10.0,
           "rx_height_m": 2.0, "ris_height_m": 9.526867885115209}, 0.0)
 # a mirror-symmetric zero-draw scene whose maximum at the midpoint is quartic:
-# three or more zoom rounds stop 6.1e-4 m from it
+# the search reports the midpoint itself, 2.6e-5 m from the bisection's x*
 @example({"txrx_horizontal_m": 10.0, "lateral_offset_m": 3.0, "tx_height_m": 1.0,
           "rx_height_m": 1.0, "ris_height_m": 5.0}, 0.0)
-# two zoom rounds (a 40 um spacing) lose 3.0e-10 of the SNR here
+# stopping one round early, at 50 um cells, loses 3.0e-10 of the SNR here
 @example({"txrx_horizontal_m": 5000.0, "lateral_offset_m": 0.5, "tx_height_m": 1.0,
           "rx_height_m": 2.0, "ris_height_m": 1.5}, 0.99)
 def test_refined_placement_meets_true_optimum(geometry, share):
     # the true optimum x* is the root of F, found by float bisection. The
-    # refinement must stop within the objective's rounding floor, which more
-    # zoom rounds do not beat: its SNR within 1e-11 of the optimum's, and its
+    # search must stop within the objective's rounding floor, which finer
+    # cells do not beat: its SNR within 1e-11 of the optimum's, and its
     # placement error costing at most 1e-11 of the SNR by the curvature
     # G''/G at x*, so a flat maximum leaves r1h free and a sharp one does not
     sc = default_scenario(**geometry)
-    # a Python float, as parse_number gives: a vanishing draw then gives an
-    # infinite feasible limit, not a numpy overflow
+    # a Python float, as parse_number gives
     sc = with_chip_power(sc, float(share * harvest_ceiling(0.0, sc) / sc.m_s))
     sol = solve_placement(sc)
     assert sol.feasible
-    curve = sol.objective_curve
-    r_best = curve[int(np.argmax(curve[:, 1])), 0]
-    lo = max(r_best - 0.1, 0.0)
-    hi = min(r_best + 0.1, sc.txrx_horizontal_m)
-    # an optimum inside the refine bracket; past r1h_f F is negative
+    lo = max(sol.r1h_opt_m - 0.1, 0.0)
+    hi = min(sol.r1h_opt_m + 0.1, sc.txrx_horizontal_m)
+    # an optimum inside the bracket around the reported r1h; past r1h_f F is negative
     assume(stationarity(lo, sc) > 0.0 > stationarity(hi, sc))
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if stationarity(mid, sc) > 0.0:
@@ -357,6 +403,43 @@ def test_refined_placement_meets_true_optimum(geometry, share):
     radicand = 1.0 - sc.p_ris_w / harvest_ceiling(x_star, sc)
     curvature = 3.0 * abs(slope) / (r1**2 * r2**2 * radicand)
     assert 0.5 * curvature * (sol.r1h_opt_m - x_star) ** 2 <= 1e-11
+
+
+def scan_maximum(scenario, points=200_001):
+    # the objective's maximum over [0, r_h]: a uniform scan, then two rescans
+    # of 2,001 points across each of its three highest local maxima
+    r = np.linspace(0.0, scenario.txrx_horizontal_m, points)
+    g = placement_objective(r, scenario.p_ris_w, scenario)
+    padded = np.concatenate(([-np.inf], g, [-np.inf]))
+    peaks = np.flatnonzero((g >= padded[:-2]) & (g >= padded[2:]))
+    best = -np.inf
+    for k in peaks[np.argsort(g[peaks])[-3:]]:
+        lo, hi = r[max(k - 1, 0)], r[min(k + 1, points - 1)]
+        for _ in range(2):
+            x = np.linspace(lo, hi, 2001)
+            gx = placement_objective(x, scenario.p_ris_w, scenario)
+            j = int(np.argmax(gx))
+            lo, hi = x[max(j - 1, 0)], x[min(j + 1, x.size - 1)]
+        best = max(best, float(gx.max()))
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({
+    "txrx_horizontal_m": st.floats(10.0, 5000.0),
+    "lateral_offset_m": st.floats(0.3, 50.0),
+    "tx_height_m": st.floats(1.0, 40.0),
+    "ris_height_m": st.floats(1.0, 40.0),
+}), st.floats(1e-9, 1.0), st.floats(0.0, 0.99))
+def test_near_mirror_scenes_find_the_higher_lobe(geometry, epsilon, share):
+    # rx_height = tx_height (1 + eps): the lobes near the TX and the RX nearly
+    # tie, and the search must not settle on the lower one
+    sc = default_scenario(**geometry, rx_height_m=geometry["tx_height_m"] * (1.0 + epsilon))
+    sc = with_chip_power(sc, float(share * harvest_ceiling(0.0, sc) / sc.m_s))
+    sol = solve_placement(sc)
+    assert sol.feasible
+    got = float(placement_objective(sol.r1h_opt_m, sol.p_ris_w, sc))
+    assert got >= (1.0 - 1e-12) * scan_maximum(sc)
 
 
 # ------------------------------------------------- closed-form and metamorphic

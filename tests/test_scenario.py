@@ -378,7 +378,7 @@ _RANGE_BOX = st.fixed_dictionaries(
 @given(_RANGE_BOX, st.floats(-1e9, 1e9))
 def test_range_box_stays_in_the_normal_floats(values, site_r1h_m):
     # every quantity the range checks replaced a guard for stays a finite,
-    # normal float, and a solve raises no RuntimeWarning (an error here)
+    # normal float, and every solve returns with no RuntimeWarning (an error here)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # small dishes
@@ -397,14 +397,10 @@ def test_range_box_stays_in_the_normal_floats(values, site_r1h_m):
     assert math.isfinite(((sc.ris_cols - 1) * sc.element_dy_m) ** 2)
 
     placements = [site_r1h_m]
-    try:
-        sol = solve_placement(sc)
-    except ValueError as exc:
-        assert "coarse placement scan" in str(exc)
-    else:
-        if sol.feasible:
-            assert placement_objective(0.0, sol.p_ris_w, sc) > 0.0
-            placements.append(sol.r1h_opt_m)
+    sol = solve_placement(sc)
+    if sol.feasible:
+        assert placement_objective(0.0, sol.p_ris_w, sc) > 0.0
+        placements.append(sol.r1h_opt_m)
     for r1h in placements:
         if not evaluate_placement(sc, r1h).feasible:
             continue
