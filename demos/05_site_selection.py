@@ -12,48 +12,41 @@ The CLI equivalent reads the same data from a sites file:
 
 from dataclasses import replace
 
-from risharvest import SiteCandidate, default_scenario, select_site
+from risharvest import default_scenario, select_site
 
 base = default_scenario()
 
+# (scenario, r1h_m) pairs: each site draws its own scenario's consumption
 candidates = [
     # far down the street at the stock offset and height
-    SiteCandidate(scenario=base, r1h_m=10.0),
+    (base, 10.0),
     # close to the TX, same wall
-    SiteCandidate(scenario=base, r1h_m=2.0),
+    (base, 2.0),
     # close to the TX on the opposite, wider side, mounted lower
-    SiteCandidate(
-        scenario=replace(base, lateral_offset_m=12.0, ris_height_m=9.0),
-        r1h_m=2.0,
-    ),
+    (replace(base, lateral_offset_m=12.0, ris_height_m=9.0), 2.0),
 ]
 
-selection = select_site(candidates)
+best_index, solutions = select_site(candidates)
 
-for idx, (cand, sol) in enumerate(zip(candidates, selection.solutions)):
-    marker = " <- selected" if idx == selection.best_index else ""
-    if sol.feasible:
-        print(
-            f"site {idx}: r1h = {cand.r1h_m:5.1f} m, "
-            f"y_s = {cand.scenario.lateral_offset_m:4.1f} m, "
-            f"h_s = {cand.scenario.ris_height_m:4.1f} m -> "
-            f"{sol.snr_opt_db:6.2f} dB{marker}"
-        )
-    else:
-        print(
-            f"site {idx}: r1h = {cand.r1h_m:5.1f} m, "
-            f"y_s = {cand.scenario.lateral_offset_m:4.1f} m, "
-            f"h_s = {cand.scenario.ris_height_m:4.1f} m -> infeasible{marker}"
-        )
+for idx, ((sc, r1h), sol) in enumerate(zip(candidates, solutions)):
+    marker = " <- selected" if idx == best_index else ""
+    result = f"{sol.snr_opt_db:6.2f} dB" if sol.feasible else "infeasible"
+    print(
+        f"site {idx}: r1h = {r1h:5.1f} m, "
+        f"y_s = {sc.lateral_offset_m:4.1f} m, "
+        f"h_s = {sc.ris_height_m:4.1f} m -> {result}{marker}"
+    )
 
 print()
 print("site 2 wins despite the wider street: mounting lower shortens both")
 print("hops enough to beat the nearer-wall candidates.")
 
 # power-hungrier chips knock out sites one by one; the selector degrades
-# gracefully and reports when nothing can self-power
-hungry = select_site(candidates, p_ris_w=0.08)
+# gracefully and reports when nothing can self-power. 32 uW on each of the
+# 2500 elements is an 80 mW surface (the stock rectifiers draw nothing)
+hungry = [(replace(sc, p_chip_w=32e-6), r1h) for sc, r1h in candidates]
+hungry_best, hungry_solutions = select_site(hungry)
 print()
 print("at an 80 mW draw the feasible set shrinks to:",
-      [i for i, s in enumerate(hungry.solutions) if s.feasible],
-      "- best is", hungry.best_index)
+      [i for i, s in enumerate(hungry_solutions) if s.feasible],
+      "- best is", hungry_best)

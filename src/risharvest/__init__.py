@@ -15,7 +15,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .link import ReflectionState, snr_cophased, snr_explicit
-from .optimizer import SiteCandidate, optimal_phases, select_site, solve_placement
+from .optimizer import optimal_phases, select_site, solve_placement
 from .oracle import brute_force_solve, exhaustive_phase_search
 from .scenario import default_scenario
 
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "default_scenario",
     "ReflectionState", "snr_cophased", "snr_explicit",
-    "SiteCandidate", "optimal_phases", "select_site", "solve_placement",
+    "optimal_phases", "select_site", "solve_placement",
     "brute_force_solve", "exhaustive_phase_search",
     "__version__",
 ]

@@ -77,6 +77,10 @@ def _write_csv(path, header, rows) -> None:
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.config, args.override)
     solution = optimizer.solve_placement(scenario)
+    # written first, so an unwritable path leaves stdout empty, as in sweep
+    if args.out:
+        _write_csv(args.out, ["r1h_m", "objective"],
+                   ([repr(float(r)), repr(float(g))] for r, g in solution.objective_curve))
     print(f"p_c_w = {_fmt(scenario.chip_power_w)}")
     print(f"y_s_m = {_fmt(scenario.lateral_offset_m)}")
     print(f"p_ris_w = {_fmt(solution.p_ris_w)}")
@@ -89,8 +93,6 @@ def cmd_solve(args) -> int:
         print(f"snr_opt_db = {_fmt(solution.snr_opt_db)}")
         print(f"p_harv_w = {_fmt(solution.p_harv_w)}")
     if args.out:
-        _write_csv(args.out, ["r1h_m", "objective"],
-                   ([repr(float(r)), repr(float(g))] for r, g in solution.objective_curve))
         print(f"objective_curve_csv = {args.out}")
     return EXIT_OK if solution.feasible else EXIT_INFEASIBLE
 
@@ -257,29 +259,22 @@ def cmd_select_site(args) -> int:
             sites = parse_sites_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read sites file {args.sites}: {exc}") from None
-    candidates = [
-        optimizer.SiteCandidate(
-            scenario=replace(
-                scenario,
-                lateral_offset_m=site["lateral_offset_m"],
-                ris_height_m=site["ris_height_m"],
-            ),
-            r1h_m=site["r1h_m"],
-        )
+    best_index, solutions = optimizer.select_site(
+        (replace(scenario, lateral_offset_m=site["lateral_offset_m"],
+                 ris_height_m=site["ris_height_m"]), site["r1h_m"])
         for site in sites
-    ]
-    selection = optimizer.select_site(candidates)
+    )
     print("index,r1h_m,lateral_offset_m,ris_height_m,feasible,snr_opt_db")
-    for idx, (site, sol) in enumerate(zip(sites, selection.solutions)):
+    for idx, (site, sol) in enumerate(zip(sites, solutions)):
         snr = _fmt(sol.snr_opt_db) if sol.feasible else ""
         print(
             f"{idx},{_fmt(site['r1h_m'])},{_fmt(site['lateral_offset_m'])},"
             f"{_fmt(site['ris_height_m'])},{_fmt(sol.feasible)},{snr}"
         )
-    if selection.best_index is None:
+    if best_index is None:
         print("selected_index = none")
         return EXIT_INFEASIBLE
-    print(f"selected_index = {selection.best_index}")
+    print(f"selected_index = {best_index}")
     return EXIT_OK
 
 

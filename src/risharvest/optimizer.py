@@ -60,20 +60,6 @@ class PlacementSolution:
     objective_curve: np.ndarray | None = None  # (r1h, objective) at the first scan's feasible points
 
 
-@dataclass(frozen=True)
-class SiteCandidate:
-    """A mounted (immovable) surface site: scenario variant plus fixed r1h."""
-
-    scenario: Scenario
-    r1h_m: float
-
-
-@dataclass(frozen=True)
-class SiteSelection:
-    best_index: int | None
-    solutions: tuple
-
-
 def optimal_phases(r1h_m: float, scenario: Scenario) -> np.ndarray:
     """Per-element phases that co-phase all contributions at the receiver.
 
@@ -112,30 +98,24 @@ def placement_objective(r1h_m, p_ris_w: float, scenario: Scenario):
     return first * second
 
 
-def evaluate_placement(
-    scenario: Scenario,
-    r1h_m: float,
-    p_ris_w: float | None = None,
-    objective_curve: np.ndarray | None = None,
-) -> PlacementSolution:
+def evaluate_placement(scenario: Scenario, r1h_m: float,
+                       objective_curve: np.ndarray | None = None) -> PlacementSolution:
     """Closed-form solution at a fixed placement (no search).
 
-    A* = sqrt(1 - P_ris / ceiling) and the harvested power (1 - A^2) * ceiling
-    come from one value of link.harvest_ceiling. Infeasible when P_ris exceeds
-    the ceiling; the comparison comes first, so the quotient is at most 1.
-    A* is a boundary value only at zero consumption (A* = 1) and when the
-    radicand is exactly 0 (A* = 0); any other A* is clamped into
-    [_EPS_A, 1 - _EPS_A], so a radicand that rounds to 1 still harvests.
+    The draw P_ris is the scenario's own consumption, scenario.p_ris_w, which
+    its key ranges keep nonnegative. A* = sqrt(1 - P_ris / ceiling) and the
+    harvested power (1 - A^2) * ceiling come from one value of
+    link.harvest_ceiling. Infeasible when P_ris exceeds the ceiling; the
+    comparison comes first, so the quotient is at most 1. A* is a boundary
+    value only at zero consumption (A* = 1) and when the radicand is exactly
+    0 (A* = 0); any other A* is clamped into [_EPS_A, 1 - _EPS_A], so a
+    radicand that rounds to 1 still harvests.
     """
-    p_ris = scenario.p_ris_w if p_ris_w is None else p_ris_w
-    if p_ris < 0:
-        raise ValueError("p_ris_w must be nonnegative")
+    p_ris = scenario.p_ris_w
     r1, _ = geometry.center_distances(r1h_m, scenario)
     ceiling = link.harvest_ceiling(r1, scenario)
     if p_ris > ceiling:
-        return PlacementSolution(
-            feasible=False, p_ris_w=p_ris, objective_curve=objective_curve,
-        )
+        return PlacementSolution(feasible=False, p_ris_w=p_ris, objective_curve=objective_curve)
     a = math.sqrt(1.0 - p_ris / ceiling)
     boundary = p_ris == 0.0 or a == 0.0
     if not boundary:
@@ -194,34 +174,27 @@ def solve_placement(scenario: Scenario) -> PlacementSolution:
         keep = ((first[:, :-1] * second[:, 1:] > best_g * (1.0 + _PRUNE_REL))
                 | (np.abs(cells + width / 2 - best_r) <= width))
         lefts = cells[keep]
-    return evaluate_placement(scenario, best_r, p_ris, objective_curve=curve)
+    return evaluate_placement(scenario, best_r, objective_curve=curve)
 
 
-def select_site(candidates, p_ris_w: float | None = None) -> SiteSelection:
-    """Pick the best mounted site among fixed (scenario, r1h) candidates.
+def select_site(candidates):
+    """Pick the best mounted site among fixed (scenario, r1h_m) pairs.
 
-    Each candidate is evaluated at its fixed placement (mounted surfaces do
-    not move). Returns the feasible candidate with maximal SNR; exact ties
-    and duplicates resolve to the lowest index. best_index is None when every
-    candidate is infeasible.
+    Each pair is evaluated at its fixed placement (mounted surfaces do not
+    move) and draws its own scenario's consumption. Returns (best_index,
+    solutions): the index of the feasible pair with maximal SNR, None when
+    every pair is infeasible, and one PlacementSolution per pair. Exact ties
+    and duplicates resolve to the lowest index.
     """
-    candidates = list(candidates)
-    if not candidates:
+    solutions = [evaluate_placement(scenario, r1h_m) for scenario, r1h_m in candidates]
+    if not solutions:
         raise ValueError("candidate list is empty")
-    solutions = []
-    best_index = None
-    best_snr = -math.inf
-    for idx, cand in enumerate(candidates):
-        sol = evaluate_placement(cand.scenario, cand.r1h_m, p_ris_w)
-        solutions.append(sol)
-        if sol.feasible and sol.snr_opt_linear > best_snr:
-            best_index = idx
-            best_snr = sol.snr_opt_linear
-    return SiteSelection(best_index=best_index, solutions=tuple(solutions))
+    # max keeps the first of equal values
+    feasible = [idx for idx, sol in enumerate(solutions) if sol.feasible]
+    return max(feasible, key=lambda idx: solutions[idx].snr_opt_linear, default=None), solutions
 
 
 __all__ = [
-    "PlacementSolution", "SiteCandidate", "SiteSelection",
-    "optimal_phases", "placement_objective",
+    "PlacementSolution", "optimal_phases", "placement_objective",
     "evaluate_placement", "solve_placement", "select_site",
 ]

@@ -29,11 +29,9 @@ _CHUNK_LATTICE_POINTS = 2 ** 20
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best lattice point found by brute_force_solve."""
+    """Best lattice point found by brute_force_solve at the caller's steps."""
 
     feasible: bool
-    r1h_step_m: float
-    a_step: float
     r1h_m: float | None = None
     a: float | None = None
     snr_linear: float | None = None
@@ -84,13 +82,11 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
             best = (float(r_grid[keep][k]), float(a[k]), float(snr[k]), float(p_harv[k, picks[k]]))
 
     if best is None:
-        return OracleResult(feasible=False, r1h_step_m=r1h_step_m, a_step=a_step)
+        return OracleResult(feasible=False)
     r, a, snr, p_harv = best
     slack = 2.0 * snr * a_step / max(a, a_step)
     return OracleResult(
         feasible=True,
-        r1h_step_m=r1h_step_m,
-        a_step=a_step,
         r1h_m=r,
         a=a,
         snr_linear=snr,

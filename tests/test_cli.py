@@ -263,7 +263,7 @@ def test_sweep_bad_pc_list(default_config_path, capsys, tmp_path):
     # non-finite values would otherwise run as infeasible rows (exit 2)
     out_csv = tmp_path / "x.csv"
     for pc_list, ys_list, flag in [("1e-6,abc", "5", "--pc-list"), ("nan", "5", "--pc-list"),
-                                   ("1e-6", "5,inf", "--ys-list")]:
+                                   ("1e-6", "5,inf", "--ys-list"), (",", "5", "--pc-list")]:
         code, out, err = run_cli(
             capsys, "sweep", "--config", str(default_config_path),
             "--pc-list", pc_list, "--ys-list", ys_list, "--out", str(out_csv),
@@ -273,11 +273,19 @@ def test_sweep_bad_pc_list(default_config_path, capsys, tmp_path):
         assert out == "" and not out_csv.exists()
 
 
-@pytest.mark.parametrize("pc_log", [
-    ("1e-8", "1e-4", "inf"), ("1e-8", "1e-4", "nan"), ("1e-8", "1e-4", "2.5"),
-    ("1e-8", "1e-4", "1e9"), ("1e-8", "1e-4", "10001"), ("inf", "1e-4", "5"),
-    ("1e-8", "nan", "5"),
-])
+_PC_LOG_UNBOUNDED = "config error: --pc-log needs finite START/STOP and an integer N of at most 10000\n"
+_PC_LOG_EMPTY = "config error: --pc-log needs positive START/STOP and at least 1 point\n"
+# --pc-log START STOP N -> the one stderr line that refuses it
+PC_LOG_REFUSALS = {
+    ("1e-8", "1e-4", "inf"): _PC_LOG_UNBOUNDED, ("1e-8", "1e-4", "nan"): _PC_LOG_UNBOUNDED,
+    ("1e-8", "1e-4", "2.5"): _PC_LOG_UNBOUNDED, ("1e-8", "1e-4", "1e9"): _PC_LOG_UNBOUNDED,
+    ("1e-8", "1e-4", "10001"): _PC_LOG_UNBOUNDED, ("inf", "1e-4", "5"): _PC_LOG_UNBOUNDED,
+    ("1e-8", "nan", "5"): _PC_LOG_UNBOUNDED,
+    ("0", "1e-4", "5"): _PC_LOG_EMPTY, ("1e-8", "1e-4", "0"): _PC_LOG_EMPTY,
+}
+
+
+@pytest.mark.parametrize("pc_log", list(PC_LOG_REFUSALS))
 def test_sweep_pc_log_bounded(default_config_path, capsys, tmp_path, pc_log):
     # every value here is refused before np.logspace runs
     out_csv = tmp_path / "x.csv"
@@ -286,8 +294,7 @@ def test_sweep_pc_log_bounded(default_config_path, capsys, tmp_path, pc_log):
         "--pc-log", *pc_log, "--out", str(out_csv),
     )
     assert code == EXIT_CONFIG
-    assert err == ("config error: --pc-log needs finite START/STOP and an integer N "
-                   "of at most 10000\n")
+    assert err == PC_LOG_REFUSALS[pc_log]
     assert out == "" and not out_csv.exists()
 
 
@@ -347,6 +354,32 @@ def test_validate_zero_oracle_snr_fails_classified(default_config_path, capsys):
     assert kv["oracle_snr_db"] == "-inf" and kv["delta_snr_db"] == "inf"
     assert kv["verdict"] == "fail"
     assert err == "FAIL: SNR delta exceeds tolerance\n"
+
+
+def test_validate_infeasible_shrink_skips_phase_check(default_config_path, capsys):
+    # 100 rectifiers at 10 uW are more than a 2x2 shrink can harvest, so the
+    # quantized-phase check is skipped and the verdict rests on the lattice
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path),
+                             "--override", "p_rectifier_w=1e-5")
+    assert code == EXIT_OK and err == ""
+    assert "phase_check_ratio = none (2x2 shrink infeasible)\n" in out
+    assert parse_kv(out)["verdict"] == "pass"
+
+
+def test_validate_placement_delta_fails_classified(default_config_path, capsys):
+    # a near-mirror scene at zero draw: the analytic search takes the lobe
+    # near the RX and the 0.5 m lattice the one near the TX, whose SNRs agree
+    # within 0.01 dB
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path),
+                             "--override", "rx_height_m=3.0001", "--override", "p_chip_w=0",
+                             "--override", "txrx_horizontal_m=37.3")
+    assert code == EXIT_VALIDATION
+    kv = parse_kv(out)
+    assert float(kv["analytic_r1h_opt_m"]) == pytest.approx(34.2007, abs=1e-4)
+    assert kv["oracle_r1h_m"] == "3.0"
+    assert float(kv["delta_snr_db"]) <= 0.01
+    assert kv["verdict"] == "fail"
+    assert err == "FAIL: placement delta exceeds tolerance\n"
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -626,6 +659,28 @@ def test_hostile_values_exit_cleanly(default_config_path, sites_config_path, cap
               "--ys-list", "5", "--out", out_csv)
         check("sweep", "--config", str(default_config_path), "--pc-list", "1e-6",
               "--ys-list", f"5,{token}", "--out", out_csv)
+
+
+# (command and options, start of the one stderr line that refuses them);
+# {tmp}/missing is a directory that does not exist
+NO_OUTPUT_REFUSALS = [
+    (["solve", "--out", "{tmp}/missing/curve.csv"], "config error: cannot write output file "),
+    (["sweep", "--out", "{tmp}/missing/sweep.csv"], "config error: cannot write output file "),
+    (["select-site", "--sites", "{tmp}/missing/sites.cfg"], "config error: cannot read sites file "),
+    (["solve", "--override", "p_chip_w="], "config error: empty override value for 'p_chip_w'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NO_OUTPUT_REFUSALS,
+                         ids=["solve_out", "sweep_out", "select_site_sites", "empty_override"])
+def test_refusals_print_and_write_nothing(default_config_path, capsys, tmp_path, argv, message):
+    # the refusal comes before any stdout line, and no file is left behind
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run_cli(capsys, argv[0], "--config", str(default_config_path), *argv[1:])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- usage errors

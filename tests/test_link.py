@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,7 +215,9 @@ def test_power_split_identity(scenario):
     r1, _ = center_distances(10.0, scenario)
     ceiling = harvest_ceiling(r1, scenario)
     for share in (0.1, 0.5, 0.99):
-        sol = evaluate_placement(scenario, 10.0, p_ris_w=share * ceiling)
+        # P_ris = share * ceiling exactly: no chip draw, one rectifier
+        drawn = replace(scenario, p_chip_w=0.0, n_rectifiers=1, p_rectifier_w=share * ceiling)
+        sol = evaluate_placement(drawn, 10.0)
         assert sol.p_harv_w + sol.a_opt ** 2 * ceiling == pytest.approx(ceiling, rel=1e-12)
 
 

@@ -16,7 +16,6 @@ from risharvest import optimizer as optimizer_module
 from risharvest.geometry import center_distances, element_grid
 from risharvest.link import ReflectionState, path_phase_rad, snr_cophased, snr_explicit
 from risharvest.optimizer import (
-    SiteCandidate,
     evaluate_placement,
     optimal_phases,
     placement_objective,
@@ -29,6 +28,11 @@ from risharvest.scenario import ConfigError, default_scenario
 
 def with_chip_power(scenario, p_chip_w):
     return replace(scenario, n_rectifiers=100, p_rectifier_w=0.0, p_chip_w=p_chip_w)
+
+
+def with_draw(scenario, p_ris_w):
+    # 0 W per chip plus one rectifier drawing p_ris_w: P_ris == p_ris_w exactly
+    return replace(scenario, p_chip_w=0.0, n_rectifiers=1, p_rectifier_w=p_ris_w)
 
 
 def harvest_ceiling(r1h_m, scenario):
@@ -76,14 +80,14 @@ def test_optimal_phases_reproduce_cophased(scenario):
 
 def test_zero_consumption_full_reflection(scenario):
     for r1h in (0.0, 10.0, 99.0):
-        sol = evaluate_placement(scenario, r1h, p_ris_w=0.0)
+        sol = evaluate_placement(with_draw(scenario, 0.0), r1h)
         assert sol.a_opt == 1.0
         assert sol.snr_opt_linear == snr_cophased(r1h, 1.0, scenario)
 
 
 def test_amplitude_at_exact_ceiling(scenario):
     ceiling = harvest_ceiling(10.0, scenario)
-    sol = evaluate_placement(scenario, 10.0, p_ris_w=ceiling)
+    sol = evaluate_placement(with_draw(scenario, ceiling), 10.0)
     assert sol.a_opt == 0.0
     assert sol.p_harv_w == ceiling
 
@@ -91,17 +95,18 @@ def test_amplitude_at_exact_ceiling(scenario):
 def test_amplitude_above_ceiling_infeasible(scenario):
     ceiling = harvest_ceiling(10.0, scenario)
     above = float(np.nextafter(ceiling, np.inf))
-    assert not evaluate_placement(scenario, 10.0, p_ris_w=above).feasible
+    assert not evaluate_placement(with_draw(scenario, above), 10.0).feasible
 
 
 def test_amplitude_at_half_ceiling(scenario):
     ceiling = harvest_ceiling(10.0, scenario)
-    assert evaluate_placement(scenario, 10.0, p_ris_w=ceiling / 2).a_opt == math.sqrt(0.5)
+    assert evaluate_placement(with_draw(scenario, ceiling / 2), 10.0).a_opt == math.sqrt(0.5)
 
 
 def test_amplitude_rejects_negative_consumption(scenario):
-    with pytest.raises(ValueError):
-        evaluate_placement(scenario, 10.0, p_ris_w=-1e-9)
+    # every consumption key's range starts at 0, so no scenario draws less
+    with pytest.raises(ValueError, match="p_rectifier_w = -1e-09 lies outside its range"):
+        evaluate_placement(with_draw(scenario, -1e-9), 10.0)
 
 
 def test_amplitude_meets_harvest_equality(scenario):
@@ -114,7 +119,7 @@ def test_amplitude_clamped_when_radicand_rounds_to_one(scenario):
     # P_ris / ceiling below 2^-53 leaves a radicand of 1.0: A* is clamped below
     # 1, so the surface still harvests at least its consumption
     ceiling = harvest_ceiling(10.0, scenario)
-    sol = evaluate_placement(scenario, 10.0, p_ris_w=1e-17 * ceiling)
+    sol = evaluate_placement(with_draw(scenario, 1e-17 * ceiling), 10.0)
     assert sol.feasible and not sol.a_boundary
     assert sol.a_opt == 1.0 - 1e-9
     assert sol.p_harv_w >= sol.p_ris_w > 0.0
@@ -219,21 +224,21 @@ def test_evaluate_placement_feasible(scenario):
 
 
 def test_evaluate_placement_infeasible(scenario):
-    sol = evaluate_placement(scenario, 10.0, p_ris_w=10.0)
+    sol = evaluate_placement(with_draw(scenario, 10.0), 10.0)
     assert not sol.feasible
     assert sol.r1h_opt_m is None and sol.a_opt is None
     assert sol.snr_opt_linear is None and sol.p_harv_w is None
 
 
 def test_evaluate_placement_zero_consumption_boundary(scenario):
-    sol = evaluate_placement(scenario, 10.0, p_ris_w=0.0)
+    sol = evaluate_placement(with_draw(scenario, 0.0), 10.0)
     assert sol.feasible and sol.a_opt == 1.0 and sol.a_boundary
     assert sol.p_harv_w == 0.0
 
 
 def test_evaluate_placement_ceiling_boundary(scenario):
     ceiling = harvest_ceiling(10.0, scenario)
-    sol = evaluate_placement(scenario, 10.0, p_ris_w=ceiling)
+    sol = evaluate_placement(with_draw(scenario, ceiling), 10.0)
     assert sol.feasible and sol.a_opt == 0.0 and sol.a_boundary
     assert sol.snr_opt_linear == 0.0 and sol.snr_opt_db == float("-inf")
 
@@ -496,7 +501,7 @@ def test_evaluate_placement_harvest_is_element_sum(geometry, rows, cols, fractio
     # the closed form (1 - A^2) * ceiling equals the per-element pairwise sum
     sc = default_scenario(**geometry, ris_rows=rows, ris_cols=cols)
     r1h = fraction * sc.txrx_horizontal_m
-    sol = evaluate_placement(sc, r1h, p_ris_w=share * harvest_ceiling(r1h, sc))
+    sol = evaluate_placement(with_draw(sc, share * harvest_ceiling(r1h, sc)), r1h)
     assert sol.feasible
     assert sol.a_boundary or share not in (0.0, 1.0)
     summed = element_sum_harvest(r1h, sol.a_opt, sc)
@@ -570,33 +575,30 @@ def test_zero_draw_objective_mirror_symmetry(geometry, fraction):
 
 
 def test_single_feasible_site_selected(scenario):
-    sel = select_site([SiteCandidate(scenario=scenario, r1h_m=10.0)])
-    assert sel.best_index == 0
-    assert sel.solutions[0].feasible
+    best_index, solutions = select_site([(scenario, 10.0)])
+    assert best_index == 0
+    assert solutions[0].feasible
 
 
 def test_smaller_offset_wins_at_high_draw(scenario):
     near = with_chip_power(scenario, 4e-5)
     far = default_scenario(lateral_offset_m=15.0, n_rectifiers=100, p_rectifier_w=0.0,
                            p_chip_w=4e-5)
-    sel = select_site(
-        [SiteCandidate(far, r1h_m=1.0), SiteCandidate(near, r1h_m=1.0)]
-    )
-    assert not sel.solutions[0].feasible
-    assert sel.solutions[1].feasible
-    assert sel.best_index == 1
+    best_index, solutions = select_site([(far, 1.0), (near, 1.0)])
+    assert not solutions[0].feasible
+    assert solutions[1].feasible
+    assert best_index == 1
 
 
 def test_duplicate_sites_tie_to_first(scenario):
-    cand = SiteCandidate(scenario=scenario, r1h_m=10.0)
-    sel = select_site([cand, cand, cand])
-    assert sel.best_index == 0
+    best_index, _ = select_site([(scenario, 10.0)] * 3)
+    assert best_index == 0
 
 
 def test_all_sites_infeasible(scenario):
-    sel = select_site([SiteCandidate(scenario, 10.0)], p_ris_w=10.0)
-    assert sel.best_index is None
-    assert all(not s.feasible for s in sel.solutions)
+    best_index, solutions = select_site([(with_draw(scenario, 10.0), 10.0)])
+    assert best_index is None
+    assert all(not s.feasible for s in solutions)
 
 
 def test_empty_candidate_list_rejected():

@@ -58,13 +58,14 @@ def test_zero_draw_keeps_top_lattice_amplitude():
 
 
 def test_default_point_frozen_values(scenario):
-    res = brute_force_solve(scenario, r1h_step_m=0.5, a_step=0.001)
+    a_step = 0.001
+    res = brute_force_solve(scenario, r1h_step_m=0.5, a_step=a_step)
     assert res.feasible
     assert res.r1h_m == 1.0
     assert res.a == pytest.approx(0.988, rel=1e-12)
     assert 10 * math.log10(res.snr_linear) == pytest.approx(56.38876124761986, abs=1e-9)
     assert res.snr_slack_linear == pytest.approx(
-        2 * res.snr_linear * res.a_step / res.a, rel=1e-12
+        2 * res.snr_linear * a_step / res.a, rel=1e-12
     )
 
 
@@ -113,11 +114,12 @@ def test_lattice_blocks_keep_the_pick(monkeypatch, p_chip_w, chunk):
 
 
 def test_harvest_matches_constraint_within_lattice(scenario):
-    res = brute_force_solve(scenario, r1h_step_m=0.5, a_step=0.001)
+    a_step = 0.001
+    res = brute_force_solve(scenario, r1h_step_m=0.5, a_step=a_step)
     # nearest-lattice harvest: off by at most one amplitude step's worth
     ceiling = res.p_harv_w / (1 - res.a**2)
     gap = abs(res.p_harv_w - scenario.p_ris_w)
-    worst_step = ceiling * abs((1 - res.a**2) - (1 - (res.a + res.a_step) ** 2))
+    worst_step = ceiling * abs((1 - res.a**2) - (1 - (res.a + a_step) ** 2))
     assert gap <= worst_step
 
 
