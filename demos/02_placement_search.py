@@ -15,7 +15,7 @@ from risharvest import default_scenario, solve_placement
 sc = default_scenario()
 sol = solve_placement(sc)
 
-print("consumption to cover   :", sol.p_ris_w * 1e3, "mW")
+print("consumption to cover   :", sc.p_ris_w * 1e3, "mW")
 print("feasible               :", sol.feasible)
 print("optimal placement      :", round(sol.r1h_opt_m, 4), "m from the TX")
 print("optimal amplitude      :", round(sol.a_opt, 6))
@@ -40,7 +40,8 @@ for r in np.linspace(r_lo, r_hi, 12):
 
 # an infeasible configuration reports cleanly instead of guessing; hungrier
 # chips push the per-element draw past the harvest ceiling everywhere
-hungry = solve_placement(default_scenario(p_chip_w=1e-4))
+hungry_sc = default_scenario(p_chip_w=1e-4)
+hungry = solve_placement(hungry_sc)
 print()
 print("100 uW chips:", "feasible" if hungry.feasible else "infeasible",
-      f"(surface draw {hungry.p_ris_w * 1e3:.0f} mW exceeds any harvest here)")
+      f"(surface draw {hungry_sc.p_ris_w * 1e3:.0f} mW exceeds any harvest here)")

@@ -13,14 +13,15 @@ import csv
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import oracle, optimizer
 from .link import snr_cophased
 from .scenario import (KEY_RANGES, ConfigError, Scenario, db, key_value_lines, load_scenario,
-                       parse_number, range_error)
+                       parse_number, range_error, read_input_file)
 from .scenario import format_value as _fmt
 
 EXIT_OK = 0
@@ -41,7 +42,7 @@ MAX_PC_POINTS = 10_000
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep lattice point; infeasible rows keep their optimum cells empty."""
+    """One sweep lattice point; its fields are the CSV columns, the optimum empty if infeasible."""
 
     p_c_w: float
     y_s_m: float
@@ -52,22 +53,22 @@ class SweepRow:
     p_harv_w: float | None
     p_ris_w: float
 
-    FIELDS = ("p_c_w", "y_s_m", "feasible", "r1h_opt_m", "a_opt",
-              "snr_opt_db", "p_harv_w", "p_ris_w")
-
     def csv_cells(self):
-        return [_fmt(getattr(self, name), none="") for name in self.FIELDS]
+        return [_fmt(getattr(self, name), none="") for name in SWEEP_COLUMNS]
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write one header and the rows; an unwritable path is a ConfigError."""
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
+@contextmanager
+def _csv_writer(path, header):
+    """A CSV writer on path, its header written; an unwritable path is a ConfigError."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             # through the module name, which the benchmark's tracer swaps
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow(row)
+            yield writer
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from None
 
@@ -79,11 +80,12 @@ def cmd_solve(args) -> int:
     solution = optimizer.solve_placement(scenario)
     # written first, so an unwritable path leaves stdout empty, as in sweep
     if args.out:
-        _write_csv(args.out, ["r1h_m", "objective"],
-                   ([repr(float(r)), repr(float(g))] for r, g in solution.objective_curve))
+        with _csv_writer(args.out, ["r1h_m", "objective"]) as writer:
+            for r, g in solution.objective_curve:
+                writer.writerow([repr(float(r)), repr(float(g))])
     print(f"p_c_w = {_fmt(scenario.chip_power_w)}")
     print(f"y_s_m = {_fmt(scenario.lateral_offset_m)}")
-    print(f"p_ris_w = {_fmt(solution.p_ris_w)}")
+    print(f"p_ris_w = {_fmt(scenario.p_ris_w)}")
     print(f"feasible = {_fmt(solution.feasible)}")
     if solution.feasible:
         print(f"r1h_opt_m = {_fmt(solution.r1h_opt_m)}")
@@ -103,7 +105,7 @@ def _sweep_row(variant: Scenario) -> SweepRow:
     sol = optimizer.solve_placement(variant)
     # the optimum cells share their names with the solution's fields
     return SweepRow(variant.p_chip_w, variant.lateral_offset_m,
-                    *(getattr(sol, name) for name in SweepRow.FIELDS[2:]))
+                    *(getattr(sol, name) for name in SWEEP_COLUMNS[2:-1]), variant.p_ris_w)
 
 
 def _parse_float_list(text: str, flag: str):
@@ -113,13 +115,21 @@ def _parse_float_list(text: str, flag: str):
     return values
 
 
+def _sweep_rows(scenario: Scenario, p_c_list, y_s_list):
+    """Check every P_c and y_s, one Scenario per value in the order the rows
+    meet them, then return a generator that solves each row as it is taken."""
+    p_c_list, y_s_list = sorted(p_c_list), sorted(y_s_list)
+    for p_c in p_c_list:
+        replace(scenario, lateral_offset_m=y_s_list[0], p_chip_w=p_c)
+    for y_s in y_s_list[1:]:
+        replace(scenario, lateral_offset_m=y_s, p_chip_w=p_c_list[0])
+    return (_sweep_row(replace(scenario, lateral_offset_m=y_s, p_chip_w=p_c))
+            for y_s in y_s_list for p_c in p_c_list)
+
+
 def sweep_rows(scenario: Scenario, p_c_list, y_s_list):
     """All sweep rows ordered by (y_s, P_c) ascending; one Scenario per row."""
-    return [
-        _sweep_row(replace(scenario, lateral_offset_m=y_s, p_chip_w=p_c))
-        for y_s in sorted(y_s_list)
-        for p_c in sorted(p_c_list)
-    ]
+    return list(_sweep_rows(scenario, p_c_list, y_s_list))
 
 
 def cmd_sweep(args) -> int:
@@ -138,10 +148,14 @@ def cmd_sweep(args) -> int:
             raise ConfigError("--pc-log needs positive START/STOP and at least 1 point")
         p_c_list = [float(v) for v in np.logspace(math.log10(start), math.log10(stop), count)]
     y_s_list = _parse_float_list(args.ys_list, "--ys-list") if args.ys_list else list(DEFAULT_YS_M)
-    rows = sweep_rows(scenario, p_c_list, y_s_list)
-    _write_csv(args.out, SweepRow.FIELDS, (row.csv_cells() for row in rows))
-    n_feasible = sum(row.feasible for row in rows)
-    print(f"rows = {len(rows)}")
+    n_feasible = 0
+    rows = _sweep_rows(scenario, p_c_list, y_s_list)
+    # each row is written as it is solved, so memory stays flat in the row count
+    with _csv_writer(args.out, SWEEP_COLUMNS) as writer:
+        for row in rows:
+            writer.writerow(row.csv_cells())
+            n_feasible += row.feasible
+    print(f"rows = {len(p_c_list) * len(y_s_list)}")
     print(f"feasible_rows = {n_feasible}")
     print(f"csv = {args.out}")
     return EXIT_OK if n_feasible else EXIT_INFEASIBLE
@@ -214,11 +228,14 @@ def cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------- select-site
 
-_SITE_KEY = re.compile(r"^site\.(\d+)\.(r1h_m|lateral_offset_m|ris_height_m)$")
+# a site's placement and two Scenario fields: its sites-file keys and output columns
+SITE_FIELDS = ("r1h_m", "lateral_offset_m", "ris_height_m")
+_SITE_KEY = re.compile(rf"^site\.(\d+)\.({'|'.join(SITE_FIELDS)})$")
 
 
 def parse_sites_text(text: str):
-    """Parse the indexed sites file into a list of per-site field dicts.
+    """Parse the indexed sites file into one tuple of values per site, in
+    SITE_FIELDS order.
 
     r1h_m never passes through Scenario: it is a horizontal length of either
     sign, bounded by the upper end of txrx_horizontal_m's range.
@@ -234,7 +251,7 @@ def parse_sites_text(text: str):
         if field in entries[index]:
             raise ConfigError(f"line {lineno}: duplicate sites key '{key}'")
         number = parse_number(f"line {lineno}: value for '{key}'", value)
-        if field == "r1h_m" and not -r1h_max <= number <= r1h_max:
+        if field == SITE_FIELDS[0] and not -r1h_max <= number <= r1h_max:
             raise range_error(f"line {lineno}: {key}", number, -r1h_max, r1h_max)
         entries[index][field] = number
     if not entries:
@@ -242,35 +259,23 @@ def parse_sites_text(text: str):
     indices = sorted(entries)
     if indices != list(range(len(indices))):
         raise ConfigError("site indices must be contiguous starting at 0")
-    sites = []
     for index in indices:
-        fields = entries[index]
-        for required in ("r1h_m", "lateral_offset_m", "ris_height_m"):
-            if required not in fields:
+        for required in SITE_FIELDS:
+            if required not in entries[index]:
                 raise ConfigError(f"site.{index} is missing '{required}'")
-        sites.append(fields)
-    return sites
+    return [tuple(entries[index][name] for name in SITE_FIELDS) for index in indices]
 
 
 def cmd_select_site(args) -> int:
     scenario = load_scenario(args.config, args.override)
-    try:
-        with open(args.sites, "r", encoding="utf-8") as fh:
-            sites = parse_sites_text(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read sites file {args.sites}: {exc}") from None
+    sites = parse_sites_text(read_input_file(args.sites, "sites"))
     best_index, solutions = optimizer.select_site(
-        (replace(scenario, lateral_offset_m=site["lateral_offset_m"],
-                 ris_height_m=site["ris_height_m"]), site["r1h_m"])
-        for site in sites
+        (replace(scenario, **dict(zip(SITE_FIELDS[1:], mount))), r1h) for r1h, *mount in sites
     )
-    print("index,r1h_m,lateral_offset_m,ris_height_m,feasible,snr_opt_db")
+    print(",".join(("index", *SITE_FIELDS, "feasible", "snr_opt_db")))
     for idx, (site, sol) in enumerate(zip(sites, solutions)):
         snr = _fmt(sol.snr_opt_db) if sol.feasible else ""
-        print(
-            f"{idx},{_fmt(site['r1h_m'])},{_fmt(site['lateral_offset_m'])},"
-            f"{_fmt(site['ris_height_m'])},{_fmt(sol.feasible)},{snr}"
-        )
+        print(",".join((str(idx), *map(_fmt, site), _fmt(sol.feasible), snr)))
     if best_index is None:
         print("selected_index = none")
         return EXIT_INFEASIBLE
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_site = sub.add_parser("select-site", help="pick the best mounted site from a sites file")
     add_common(p_site)
     p_site.add_argument("--sites", required=True,
-                        help="sites file (site.N.r1h_m / .lateral_offset_m / .ris_height_m)")
+                        help=f"sites file (site.N.{' / .'.join(SITE_FIELDS)})")
     p_site.set_defaults(func=cmd_select_site)
     return parser
 

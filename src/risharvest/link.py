@@ -50,13 +50,13 @@ class ReflectionState:
         return self.amplitudes.shape
 
 
-def path_phase_rad(r1h_m: float, grid: geometry.ElementGrid, scenario: Scenario):
-    """Per-element propagation phase 2*pi*(r1pl + r2pl)/lambda.
+def path_phase_rad(r1h_m: float, scenario: Scenario):
+    """Per-element propagation phase 2*pi*(r1pl + r2pl)/lambda over the element grid.
 
     Shared by snr_explicit and the phase optimizer so that the optimal phases
     cancel this term bitwise, not just approximately.
     """
-    r1pl, r2pl = geometry.element_distances(r1h_m, grid, scenario)
+    r1pl, r2pl = geometry.element_distances(r1h_m, geometry.element_grid(scenario), scenario)
     return 2.0 * math.pi * (r1pl + r2pl) / scenario.wavelength_m
 
 
@@ -105,7 +105,7 @@ def snr_explicit(r1h_m: float, reflection: ReflectionState, scenario: Scenario):
         raise ValueError(f"reflection state shape {reflection.shape[-2:]} does not match "
                          f"surface {expected}")
     const = _snr_constant(r1h_m, scenario)
-    psi = path_phase_rad(r1h_m, geometry.element_grid(scenario), scenario)
+    psi = path_phase_rad(r1h_m, scenario)
     terms = reflection.amplitudes * np.exp(-1j * (reflection.phases + psi))
     total = np.sum(terms, axis=(-2, -1))
     snr = const * (total.real ** 2 + total.imag ** 2)

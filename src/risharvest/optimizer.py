@@ -16,7 +16,7 @@ point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class PlacementSolution:
     """
 
     feasible: bool
-    p_ris_w: float
     r1h_opt_m: float | None = None
     a_opt: float | None = None
     a_boundary: bool = False
@@ -67,39 +66,37 @@ def optimal_phases(r1h_m: float, scenario: Scenario) -> np.ndarray:
     phase used by link.snr_explicit, so substitution cancels bitwise. Returned
     unwrapped.
     """
-    grid = geometry.element_grid(scenario)
-    return -link.path_phase_rad(r1h_m, grid, scenario)
+    return -link.path_phase_rad(r1h_m, scenario)
 
 
-def _objective_factors(r1h_m, p_ris_w: float, scenario: Scenario):
+def _objective_factors(r1h_m, scenario: Scenario):
     """The reduced objective's first-hop and second-hop factors,
     y_s/r1^3 * (1 - P_ris / ceiling) and y_s/(r2^3 sigma^2), from one
-    center_distances call. The first falls as r1h grows and the second rises
-    on [0, r_h], so on any cell [u, v] the objective is at most
-    first(u) * second(v)."""
+    center_distances call, with P_ris = scenario.p_ris_w. The first falls as
+    r1h grows and the second rises on [0, r_h], so on any cell [u, v] the
+    objective is at most first(u) * second(v)."""
     r1, r2 = geometry.center_distances(r1h_m, scenario)
     ys = scenario.lateral_offset_m
-    first = (ys / r1) / r1 ** 2 * (1.0 - p_ris_w / link.harvest_ceiling(r1, scenario))
+    first = (ys / r1) / r1 ** 2 * (1.0 - scenario.p_ris_w / link.harvest_ceiling(r1, scenario))
     return first, (ys / r2) / (r2 ** 2 * scenario.noise_w)
 
 
-def placement_objective(r1h_m, p_ris_w: float, scenario: Scenario):
+def placement_objective(r1h_m, scenario: Scenario):
     """Reduced placement objective after phases and amplitude are eliminated.
 
     G(r1h) = cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2) * (1 - P_ris / ceiling)
            = y_s^2 / (sigma^2 (r1 r2)^3) * (1 - P_ris / ceiling),
-    with cos(th) = y_s/r and the ceiling of link.harvest_ceiling, formed as
-    the product of one factor per hop, so (r1 r2)^3 never overflows on long
-    spans. Negative where the placement is infeasible; the search never
-    selects those values. Returns an array of r1h's shape, 0-d for a scalar
-    r1h. The optimal SNR is 16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
+    with cos(th) = y_s/r, P_ris = scenario.p_ris_w and the ceiling of
+    link.harvest_ceiling, formed as one factor per hop, so (r1 r2)^3 never
+    overflows on long spans. Negative where the placement is infeasible; the
+    search never selects those values. Returns an array of r1h's shape, 0-d
+    for a scalar r1h. The optimal SNR is 16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
     """
-    first, second = _objective_factors(r1h_m, p_ris_w, scenario)
+    first, second = _objective_factors(r1h_m, scenario)
     return first * second
 
 
-def evaluate_placement(scenario: Scenario, r1h_m: float,
-                       objective_curve: np.ndarray | None = None) -> PlacementSolution:
+def evaluate_placement(scenario: Scenario, r1h_m: float) -> PlacementSolution:
     """Closed-form solution at a fixed placement (no search).
 
     The draw P_ris is the scenario's own consumption, scenario.p_ris_w, which
@@ -109,13 +106,13 @@ def evaluate_placement(scenario: Scenario, r1h_m: float,
     comparison comes first, so the quotient is at most 1. A* is a boundary
     value only at zero consumption (A* = 1) and when the radicand is exactly
     0 (A* = 0); any other A* is clamped into [_EPS_A, 1 - _EPS_A], so a
-    radicand that rounds to 1 still harvests.
+    radicand that rounds to 1 still harvests. objective_curve stays None.
     """
     p_ris = scenario.p_ris_w
     r1, _ = geometry.center_distances(r1h_m, scenario)
     ceiling = link.harvest_ceiling(r1, scenario)
     if p_ris > ceiling:
-        return PlacementSolution(feasible=False, p_ris_w=p_ris, objective_curve=objective_curve)
+        return PlacementSolution(feasible=False)
     a = math.sqrt(1.0 - p_ris / ceiling)
     boundary = p_ris == 0.0 or a == 0.0
     if not boundary:
@@ -123,14 +120,12 @@ def evaluate_placement(scenario: Scenario, r1h_m: float,
     snr = float(link.snr_cophased(r1h_m, a, scenario))
     return PlacementSolution(
         feasible=True,
-        p_ris_w=p_ris,
         r1h_opt_m=float(r1h_m),
         a_opt=a,
         a_boundary=boundary,
         snr_opt_linear=snr,
         snr_opt_db=db(snr) if snr > 0.0 else float("-inf"),
         p_harv_w=float(ceiling * (1.0 - a * a)),
-        objective_curve=objective_curve,
     )
 
 
@@ -144,14 +139,13 @@ def solve_placement(scenario: Scenario) -> PlacementSolution:
     than _PRUNE_REL, or while its centre is within one cell width of the best
     point. The best point moves only on a gain above _TIE_REL and is the
     lowest r1h within _TIE_REL of its scan's maximum. The rounds stop at
-    _STOP_M, so the number of points does not grow with the span.
-    objective_curve holds the first scan's feasible points and their
-    objective values, empty (shape (0, 2)) when infeasible.
+    _STOP_M, so the number of points does not grow with the span. Returns
+    evaluate_placement at the best point with objective_curve set to the
+    first scan's feasible points and their values, shape (0, 2) if infeasible.
     """
-    p_ris = scenario.p_ris_w
     r1_0, _ = geometry.center_distances(0.0, scenario)
-    if not p_ris < link.harvest_ceiling(r1_0, scenario):
-        return PlacementSolution(feasible=False, p_ris_w=p_ris, objective_curve=np.empty((0, 2)))
+    if not scenario.p_ris_w < link.harvest_ceiling(r1_0, scenario):
+        return PlacementSolution(feasible=False, objective_curve=np.empty((0, 2)))
 
     r_h = scenario.txrx_horizontal_m
     stop = max(_STOP_M, 2.0 ** -50 * r_h)
@@ -160,7 +154,7 @@ def solve_placement(scenario: Scenario) -> PlacementSolution:
     while True:
         width /= _SPLIT
         edges = lefts[:, None] + width * np.arange(_SPLIT + 1)
-        first, second = _objective_factors(edges, p_ris, scenario)
+        first, second = _objective_factors(edges, scenario)
         values = first * second
         if curve is None:
             feasible = values[0] > 0.0
@@ -174,7 +168,7 @@ def solve_placement(scenario: Scenario) -> PlacementSolution:
         keep = ((first[:, :-1] * second[:, 1:] > best_g * (1.0 + _PRUNE_REL))
                 | (np.abs(cells + width / 2 - best_r) <= width))
         lefts = cells[keep]
-    return evaluate_placement(scenario, best_r, objective_curve=curve)
+    return replace(evaluate_placement(scenario, best_r), objective_curve=curve)
 
 
 def select_site(candidates):

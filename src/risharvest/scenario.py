@@ -5,12 +5,12 @@ parameters from a validated, immutable Scenario. All internal computation is
 in SI units (watts, meters, radians, hertz); dB and dBm appear only at the
 configuration and reporting boundaries.
 
-The config keys are written nowhere but in the dataclass: the key table is
-read from the fields of Scenario, and a key is required exactly when its
-field has no default. parse_number is the one place where user text (config,
-override, sites file, sweep lists) becomes a number, and KEY_RANGES holds the
-one closed range of every key, which Scenario checks on construction. The
-ranges keep every quantity that the link budget and the placement search
+The config keys are written nowhere but in the dataclass: each field declares
+its key's closed range, which Scenario checks on construction, the key table
+is read from the fields in their order, and a key is required exactly when
+its field has no default. read_input_file is the one reader of config and
+sites files, and parse_number the one place where user text becomes a number.
+The ranges keep every quantity that the link budget and the placement search
 form inside the normal floats, so no later layer guards against over- or
 underflow.
 """
@@ -19,41 +19,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 MAX_SURFACE_ELEMENTS = 1_000_000
-
-# the closed range [lo, hi] of every config key, in its SI unit
-_LENGTH_M = (1e-9, 1e9)
-_POWER_W = (0.0, 1e9)
-KEY_RANGES = {
-    "carrier_frequency_hz": (1e6, 1e13),
-    "transmit_power_w": (1e-15, 1e9),
-    "bandwidth_hz": (1.0, 1e13),
-    "noise_figure_db": (-100.0, 100.0),
-    "tx_diameter_m": (1e-3, 1e3),
-    "rx_diameter_m": (1e-3, 1e3),
-    "tx_efficiency": (1e-6, 1.0),
-    "rx_efficiency": (1e-6, 1.0),
-    "tx_height_m": _LENGTH_M,
-    "rx_height_m": _LENGTH_M,
-    "ris_height_m": _LENGTH_M,
-    "txrx_horizontal_m": _LENGTH_M,
-    "lateral_offset_m": _LENGTH_M,
-    "ris_rows": (1, MAX_SURFACE_ELEMENTS),
-    "ris_cols": (1, MAX_SURFACE_ELEMENTS),
-    "element_dx_m": (1e-9, 1e3),
-    "element_dy_m": (1e-9, 1e3),
-    # the largest float below 1: a surface that converts everything reflects nothing
-    "conversion_efficiency": (1e-9, 1.0 - 2.0 ** -53),
-    "p_static_w": _POWER_W,
-    "p_dynamic_w": _POWER_W,
-    "reconfig_fraction": (0.0, 1.0),
-    "n_rectifiers": (1, 1_000_000),
-    "p_rectifier_w": _POWER_W,
-    "p_chip_w": _POWER_W,
-}
+# config and sites files are read up to this many characters, 1 MiB of ASCII
+MAX_INPUT_CHARS = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -71,8 +42,14 @@ def db(x):
     return 10.0 * math.log10(x)
 
 
-# these three keys are integers, every other key is a float
-_INTEGER_KEYS = ("ris_rows", "ris_cols", "n_rectifiers")
+# closed ranges [lo, hi] that several keys share, in their SI units
+_LENGTH_M = (1e-9, 1e9)
+_POWER_W = (0.0, 1e9)
+
+
+def _key(lo, hi, default=MISSING):
+    """A config key's field, declaring the closed range [lo, hi] of its value."""
+    return field(default=default, metadata={"range": (lo, hi)})
 
 
 @dataclass(frozen=True)
@@ -90,30 +67,30 @@ class Scenario:
     The consumption fields are the only optional config keys.
     """
 
-    carrier_frequency_hz: float      # f
-    transmit_power_w: float          # P_t
-    bandwidth_hz: float              # W
-    noise_figure_db: float           # F_dB
-    tx_diameter_m: float             # D_t
-    rx_diameter_m: float             # D_r
-    tx_efficiency: float             # e_t
-    rx_efficiency: float             # e_r
-    tx_height_m: float               # h_t
-    rx_height_m: float               # h_r
-    ris_height_m: float              # h_s
-    txrx_horizontal_m: float         # r_h
-    lateral_offset_m: float          # y_s
-    ris_rows: int                    # M_x
-    ris_cols: int                    # M_y
-    element_dx_m: float              # d_x
-    element_dy_m: float              # d_y
-    conversion_efficiency: float     # RF-to-DC efficiency
-    p_static_w: float = 0.0          # chip power while holding a configuration
-    p_dynamic_w: float = 0.0         # chip power while reconfiguring
-    reconfig_fraction: float = 0.0   # fraction of time spent reconfiguring
-    n_rectifiers: int = 1            # rectifiers fed by the corporate network
-    p_rectifier_w: float = 0.0       # consumption of one rectifier
-    p_chip_w: float | None = None    # direct per-element override, wins if set
+    carrier_frequency_hz: float = _key(1e6, 1e13)            # f
+    transmit_power_w: float = _key(1e-15, 1e9)               # P_t
+    bandwidth_hz: float = _key(1.0, 1e13)                    # W
+    noise_figure_db: float = _key(-100.0, 100.0)             # F_dB
+    tx_diameter_m: float = _key(1e-3, 1e3)                   # D_t
+    rx_diameter_m: float = _key(1e-3, 1e3)                   # D_r
+    tx_efficiency: float = _key(1e-6, 1.0)                   # e_t
+    rx_efficiency: float = _key(1e-6, 1.0)                   # e_r
+    tx_height_m: float = _key(*_LENGTH_M)                    # h_t
+    rx_height_m: float = _key(*_LENGTH_M)                    # h_r
+    ris_height_m: float = _key(*_LENGTH_M)                   # h_s
+    txrx_horizontal_m: float = _key(*_LENGTH_M)              # r_h
+    lateral_offset_m: float = _key(*_LENGTH_M)               # y_s
+    ris_rows: int = _key(1, MAX_SURFACE_ELEMENTS)            # M_x
+    ris_cols: int = _key(1, MAX_SURFACE_ELEMENTS)            # M_y
+    element_dx_m: float = _key(1e-9, 1e3)                    # d_x
+    element_dy_m: float = _key(1e-9, 1e3)                    # d_y
+    conversion_efficiency: float = _key(1e-9, 1.0 - 2.0 ** -53)  # RF-to-DC; 1 would reflect nothing
+    p_static_w: float = _key(*_POWER_W, default=0.0)         # chip power holding a configuration
+    p_dynamic_w: float = _key(*_POWER_W, default=0.0)        # chip power while reconfiguring
+    reconfig_fraction: float = _key(0.0, 1.0, default=0.0)   # fraction of time reconfiguring
+    n_rectifiers: int = _key(1, 1_000_000, default=1)        # rectifiers on the corporate network
+    p_rectifier_w: float = _key(*_POWER_W, default=0.0)      # consumption of one rectifier
+    p_chip_w: float | None = _key(*_POWER_W, default=None)   # per-element override, wins if set
 
     def __post_init__(self):
         for key, (lo, hi) in KEY_RANGES.items():
@@ -121,7 +98,7 @@ class Scenario:
             # None is an unset p_chip_w
             if value is not None and not lo <= value <= hi:
                 raise range_error(key, value, lo, hi)
-        for name in _INTEGER_KEYS:
+        for name in INTEGER_KEYS:
             if int(getattr(self, name)) != getattr(self, name):
                 raise ConfigError(f"{name} must be an integer")
         # every per-element array is sized by this
@@ -181,7 +158,10 @@ class Scenario:
         return self.m_s * self.chip_power_w + self.n_rectifiers * self.p_rectifier_w
 
 
-KNOWN_KEYS = frozenset(f.name for f in fields(Scenario))
+# in field order, so the first key out of range is named; int fields are integer keys
+KEY_RANGES = {f.name: f.metadata["range"] for f in fields(Scenario)}
+KNOWN_KEYS = frozenset(KEY_RANGES)
+INTEGER_KEYS = tuple(f.name for f in fields(Scenario) if f.type == "int")
 
 
 def key_value_lines(text: str):
@@ -244,7 +224,7 @@ def build_scenario(mapping: dict[str, str]) -> Scenario:
     for f in fields(Scenario):
         if f.name in mapping:
             kwargs[f.name] = parse_number(f"value for '{f.name}'", mapping[f.name],
-                                          integer=f.name in _INTEGER_KEYS)
+                                          integer=f.name in INTEGER_KEYS)
         elif f.default is MISSING:
             raise ConfigError(f"missing required config key '{f.name}'")
     return Scenario(**kwargs)
@@ -253,12 +233,20 @@ def build_scenario(mapping: dict[str, str]) -> Scenario:
 def load_scenario(path, overrides=()) -> Scenario:
     """Load and validate a scenario from a flat `key = value` config file,
     with `KEY=VALUE` override strings applied on top."""
+    text = read_input_file(path, "config")
+    return build_scenario(apply_overrides(parse_config_text(text), overrides))
+
+
+def read_input_file(path, kind: str) -> str:
+    """A config or sites file's text; at most MAX_INPUT_CHARS + 1 characters are read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return build_scenario(apply_overrides(parse_config_text(text), overrides))
+            text = fh.read(MAX_INPUT_CHARS + 1)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from None
+    if len(text) > MAX_INPUT_CHARS:
+        raise ConfigError(f"{kind} file {path} is longer than {MAX_INPUT_CHARS} characters")
+    return text
 
 
 def apply_overrides(mapping: dict[str, str], overrides) -> dict[str, str]:
@@ -329,5 +317,5 @@ __all__ = [
     "SPEED_OF_LIGHT_M_S", "ConfigError", "Scenario", "db",
     "parse_config_text", "build_scenario", "load_scenario", "apply_overrides",
     "default_scenario",
-    "KNOWN_KEYS", "KEY_RANGES", "range_error",
+    "KNOWN_KEYS", "KEY_RANGES", "INTEGER_KEYS", "range_error",
 ]

@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -15,11 +16,12 @@ from risharvest.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_VALIDATION,
+    SWEEP_COLUMNS,
     SweepRow,
     main,
     sweep_rows,
 )
-from risharvest.scenario import KNOWN_KEYS
+from risharvest.scenario import KNOWN_KEYS, MAX_INPUT_CHARS
 
 CSV_HEADER = "p_c_w,y_s_m,feasible,r1h_opt_m,a_opt,snr_opt_db,p_harv_w,p_ris_w"
 
@@ -154,7 +156,7 @@ def test_sweep_single_point_matches_solve(default_config_path, capsys, tmp_path)
     kv = parse_kv(solve_out)
     header, row = out_csv.read_text().splitlines()
     assert header == CSV_HEADER
-    cells = dict(zip(SweepRow.FIELDS, row.split(",")))
+    cells = dict(zip(SWEEP_COLUMNS, row.split(",")))
     assert cells["p_c_w"] == "1e-06"
     assert cells["y_s_m"] == "5.0"
     assert cells["feasible"] == "true"
@@ -176,7 +178,7 @@ def test_sweep_grid_shape_and_trends(default_config_path, capsys, tmp_path):
     assert kv["rows"] == "12"
     lines = out_csv.read_text().splitlines()
     assert len(lines) == 13
-    rows = [dict(zip(SweepRow.FIELDS, ln.split(","))) for ln in lines[1:]]
+    rows = [dict(zip(SWEEP_COLUMNS, ln.split(","))) for ln in lines[1:]]
     # infeasible tail rows are flagged and keep empty optimum cells
     assert any(r["feasible"] == "false" for r in rows)
     for r in rows:
@@ -668,11 +670,15 @@ NO_OUTPUT_REFUSALS = [
     (["sweep", "--out", "{tmp}/missing/sweep.csv"], "config error: cannot write output file "),
     (["select-site", "--sites", "{tmp}/missing/sites.cfg"], "config error: cannot read sites file "),
     (["solve", "--override", "p_chip_w="], "config error: empty override value for 'p_chip_w'"),
+    # the bad value sorts last: it is refused before the first row is written
+    (["sweep", "--pc-list", "1e-6,1e304", "--out", "{tmp}/sweep.csv"],
+     "config error: p_chip_w = 1e+304 lies outside its range "),
 ]
 
 
 @pytest.mark.parametrize("argv, message", NO_OUTPUT_REFUSALS,
-                         ids=["solve_out", "sweep_out", "select_site_sites", "empty_override"])
+                         ids=["solve_out", "sweep_out", "select_site_sites", "empty_override",
+                              "sweep_pc_out_of_range"])
 def test_refusals_print_and_write_nothing(default_config_path, capsys, tmp_path, argv, message):
     # the refusal comes before any stdout line, and no file is left behind
     argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -681,6 +687,52 @@ def test_refusals_print_and_write_nothing(default_config_path, capsys, tmp_path,
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--config", "--sites"])
+def test_input_file_over_the_cap_refused(default_config_path, sites_config_path, capsys, tmp_path,
+                                         flag):
+    # a file of MAX_INPUT_CHARS characters is parsed; one character more is refused
+    paths = {"--config": default_config_path, "--sites": sites_config_path}
+    for size, refused in ((MAX_INPUT_CHARS, False), (MAX_INPUT_CHARS + 1, True)):
+        paths[flag] = tmp_path / f"{size}.cfg"
+        paths[flag].write_text("#" * (size - 1) + "\n")
+        code, out, err = run_cli(capsys, "select-site", "--config", str(paths["--config"]),
+                                 "--sites", str(paths["--sites"]))
+        assert code == EXIT_CONFIG and out == ""
+        over = f"config error: {flag[2:]} file {paths[flag]} is longer than {MAX_INPUT_CHARS} characters\n"
+        assert (err == over) == refused
+
+
+@pytest.mark.parametrize("flag", ["--config", "--sites"])
+def test_undecodable_input_file_named(default_config_path, sites_config_path, capsys, tmp_path, flag):
+    # a byte that is not UTF-8 is refused in a line that names the file
+    paths = {"--config": default_config_path, "--sites": sites_config_path, flag: tmp_path / "bad.cfg"}
+    paths[flag].write_bytes(b"# \xff\n")
+    code, out, err = run_cli(capsys, "select-site", "--config", str(paths["--config"]),
+                             "--sites", str(paths["--sites"]))
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith(f"config error: cannot read {flag[2:]} file {paths[flag]}: 'utf-8' codec ")
+    assert err.count("\n") == 1
+
+
+def test_sweep_memory_flat_in_row_count(default_config_path, capsys, tmp_path):
+    # rows are written as they are solved, so the traced peak does not grow
+    # with the row count; at 1 W per chip every row is infeasible and quick
+    def peak(n_p_c, n_y_s):
+        p_c = ",".join(str(1.0 + k) for k in range(n_p_c))
+        y_s = ",".join(str(5.0 + k) for k in range(n_y_s))
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "sweep", "--config", str(default_config_path), "--pc-list",
+                                 p_c, "--ys-list", y_s, "--out", str(tmp_path / "sweep.csv"))
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (code_small, small), (code_large, large) = peak(50, 50), peak(100, 100)
+    assert code_small == code_large == EXIT_INFEASIBLE
+    assert large < small + 64 * 1024, (small, large)
 
 
 # ---------------------------------------------------------------- usage errors

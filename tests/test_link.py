@@ -41,9 +41,8 @@ def element_sum_harvest(r1h_m, amplitudes, scenario):
 
 
 def co_phased_state(r1h_m, a, scenario):
-    grid = element_grid(scenario)
-    psi = path_phase_rad(r1h_m, grid, scenario)
-    return ReflectionState(amplitudes=np.full(grid.shape, a), phases=-psi)
+    psi = path_phase_rad(r1h_m, scenario)
+    return ReflectionState(amplitudes=np.full(psi.shape, a), phases=-psi)
 
 
 # ------------------------------------------------------------ reflection state
@@ -161,8 +160,7 @@ def test_pairwise_sum_agrees_with_fsum(scenario):
     rng = np.random.default_rng(23)
     amps = rng.uniform(0, 1, size=(50, 50))
     phases = rng.uniform(0, 2 * math.pi, size=(50, 50))
-    grid = element_grid(scenario)
-    psi = path_phase_rad(10.0, grid, scenario)
+    psi = path_phase_rad(10.0, scenario)
     angle = phases + psi
     re = math.fsum((amps * np.cos(-angle)).ravel().tolist())
     im = math.fsum((amps * np.sin(-angle)).ravel().tolist())

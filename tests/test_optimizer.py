@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from risharvest import geometry as geometry_module
 from risharvest import link
 from risharvest import optimizer as optimizer_module
-from risharvest.geometry import center_distances, element_grid
+from risharvest.geometry import center_distances
 from risharvest.link import ReflectionState, path_phase_rad, snr_cophased, snr_explicit
 from risharvest.optimizer import (
     evaluate_placement,
@@ -61,7 +61,7 @@ def test_single_element_optimal_phase():
 
 def test_optimal_phases_cancel_path_phase(scenario):
     phases = optimal_phases(7.3, scenario)
-    psi = path_phase_rad(7.3, element_grid(scenario), scenario)
+    psi = path_phase_rad(7.3, scenario)
     assert np.all(phases + psi == 0.0)
 
 
@@ -119,10 +119,11 @@ def test_amplitude_clamped_when_radicand_rounds_to_one(scenario):
     # P_ris / ceiling below 2^-53 leaves a radicand of 1.0: A* is clamped below
     # 1, so the surface still harvests at least its consumption
     ceiling = harvest_ceiling(10.0, scenario)
-    sol = evaluate_placement(with_draw(scenario, 1e-17 * ceiling), 10.0)
+    drawn = with_draw(scenario, 1e-17 * ceiling)
+    sol = evaluate_placement(drawn, 10.0)
     assert sol.feasible and not sol.a_boundary
     assert sol.a_opt == 1.0 - 1e-9
-    assert sol.p_harv_w >= sol.p_ris_w > 0.0
+    assert sol.p_harv_w >= drawn.p_ris_w > 0.0
 
 
 # ------------------------------------------------------------------ objective
@@ -138,7 +139,7 @@ def test_objective_reduces_to_pure_snr_shape(scenario):
     th_r = np.arctan(np.sqrt((scenario.txrx_horizontal_m - r) ** 2
                              + (scenario.ris_height_m - scenario.rx_height_m) ** 2) / ys)
     pure = np.cos(th_i) * np.cos(th_r) / (r1**2 * r2**2 * scenario.noise_w)
-    got = placement_objective(r, 0.0, scenario)
+    got = placement_objective(r, with_draw(scenario, 0.0))
     assert got == pytest.approx(pure, rel=1e-12)
 
 
@@ -156,20 +157,20 @@ def test_objective_snr_identity(scenario):
     for r1h in (0.5, 1.0, 5.0, 20.0, 30.0):
         sol = evaluate_placement(scenario, r1h)
         assert sol.feasible
-        g = float(placement_objective(r1h, scenario.p_ris_w, scenario))
+        g = float(placement_objective(r1h, scenario))
         assert sol.snr_opt_linear == pytest.approx(scale * g, rel=1e-9)
 
 
 def test_objective_negative_when_infeasible(scenario):
     ceiling = harvest_ceiling(50.0, scenario)
-    assert placement_objective(50.0, 2 * ceiling, scenario) < 0
+    assert placement_objective(50.0, with_draw(scenario, 2 * ceiling)) < 0
 
 
 def test_objective_continuity(scenario):
     jumps = []
     for step in (0.4, 0.2, 0.1):
         r = np.arange(0.0, 100.0 + step / 2, step)
-        g = placement_objective(r, scenario.p_ris_w, scenario)
+        g = placement_objective(r, scenario)
         jumps.append(np.abs(np.diff(g)).max())
     assert jumps[1] < jumps[0] and jumps[2] < jumps[1]
 
@@ -191,7 +192,7 @@ def count_geometry_calls(monkeypatch):
 def test_objective_evaluates_center_geometry_once(monkeypatch, scenario, r1h):
     # the SNR shape and the harvest ceiling share one (r1, r2) evaluation
     calls = count_geometry_calls(monkeypatch)
-    placement_objective(r1h, scenario.p_ris_w, scenario)
+    placement_objective(r1h, scenario)
     assert calls == ["center_distances"]
 
 
@@ -214,7 +215,7 @@ def test_evaluate_placement_feasible(scenario):
     assert sol.feasible
     assert sol.r1h_opt_m == 10.0
     assert not sol.a_boundary
-    assert sol.p_harv_w == pytest.approx(sol.p_ris_w, rel=1e-9)
+    assert sol.p_harv_w == pytest.approx(scenario.p_ris_w, rel=1e-9)
     state = ReflectionState(
         amplitudes=np.full((50, 50), sol.a_opt), phases=optimal_phases(10.0, scenario)
     )
@@ -252,7 +253,7 @@ def test_solve_placement_default_point(scenario):
     assert sol.r1h_opt_m == pytest.approx(1.0455442861154873, abs=1e-6)
     assert sol.a_opt == pytest.approx(0.9882027677134215, rel=1e-9)
     assert sol.snr_opt_db == pytest.approx(56.39080519538952, abs=1e-6)
-    assert sol.p_harv_w == pytest.approx(sol.p_ris_w, rel=1e-9)
+    assert sol.p_harv_w == pytest.approx(scenario.p_ris_w, rel=1e-9)
     assert sol.objective_curve.shape[1] == 2
 
 
@@ -260,7 +261,7 @@ def test_solve_placement_infeasible(scenario):
     sc = with_chip_power(scenario, 1e-3)
     sol = solve_placement(sc)
     assert not sol.feasible
-    assert sol.p_ris_w == pytest.approx(2.5, rel=1e-12)
+    assert sc.p_ris_w == pytest.approx(2.5, rel=1e-12)
     assert sol.r1h_opt_m is None
     assert sol.objective_curve.shape == (0, 2)
 
@@ -275,7 +276,7 @@ def test_refinement_beats_coarse_grid(scenario):
     sol = solve_placement(scenario)
     curve = sol.objective_curve
     feasible_best = curve[:, 1].max()
-    refined = float(placement_objective(sol.r1h_opt_m, sol.p_ris_w, scenario))
+    refined = float(placement_objective(sol.r1h_opt_m, scenario))
     assert refined >= feasible_best * (1 - 1e-12)
 
 
@@ -414,7 +415,7 @@ def scan_maximum(scenario, points=200_001):
     # the objective's maximum over [0, r_h]: a uniform scan, then two rescans
     # of 2,001 points across each of its three highest local maxima
     r = np.linspace(0.0, scenario.txrx_horizontal_m, points)
-    g = placement_objective(r, scenario.p_ris_w, scenario)
+    g = placement_objective(r, scenario)
     padded = np.concatenate(([-np.inf], g, [-np.inf]))
     peaks = np.flatnonzero((g >= padded[:-2]) & (g >= padded[2:]))
     best = -np.inf
@@ -422,7 +423,7 @@ def scan_maximum(scenario, points=200_001):
         lo, hi = r[max(k - 1, 0)], r[min(k + 1, points - 1)]
         for _ in range(2):
             x = np.linspace(lo, hi, 2001)
-            gx = placement_objective(x, scenario.p_ris_w, scenario)
+            gx = placement_objective(x, scenario)
             j = int(np.argmax(gx))
             lo, hi = x[max(j - 1, 0)], x[min(j + 1, x.size - 1)]
         best = max(best, float(gx.max()))
@@ -443,7 +444,7 @@ def test_near_mirror_scenes_find_the_higher_lobe(geometry, epsilon, share):
     sc = with_chip_power(sc, float(share * harvest_ceiling(0.0, sc) / sc.m_s))
     sol = solve_placement(sc)
     assert sol.feasible
-    got = float(placement_objective(sol.r1h_opt_m, sol.p_ris_w, sc))
+    got = float(placement_objective(sol.r1h_opt_m, sc))
     assert got >= (1.0 - 1e-12) * scan_maximum(sc)
 
 
@@ -484,7 +485,7 @@ def test_objective_angle_free_identity(geometry, radio, p_chip_w, fraction):
          * sc.transmit_power_w * sc.tx_gain * 4)
     lead = ys**2 / (sc.noise_w * r2**3)
     expected = lead * (r1**-3 - sc.p_ris_w / (c * ys))
-    got = float(placement_objective(r1h, sc.p_ris_w, sc))
+    got = float(placement_objective(r1h, sc))
     # relative to the larger term: the two cancel where r1h meets r1h_f
     assert abs(got - expected) <= 1e-12 * lead * max(r1**-3, sc.p_ris_w / (c * ys))
 
@@ -528,7 +529,7 @@ def assert_same_placement(base, moved, scenario):
     # at y_s = 38 m), so both placements must score the same objective
     assert moved.feasible == base.feasible
     if base.feasible:
-        g = placement_objective(np.array([base.r1h_opt_m, moved.r1h_opt_m]), base.p_ris_w, scenario)
+        g = placement_objective(np.array([base.r1h_opt_m, moved.r1h_opt_m]), scenario)
         assert g[1] == pytest.approx(g[0], rel=1e-12)
         assert moved.r1h_opt_m == pytest.approx(base.r1h_opt_m, abs=1e-4)
         assert moved.a_opt == pytest.approx(base.a_opt, rel=1e-6)
@@ -567,8 +568,8 @@ def test_zero_draw_objective_mirror_symmetry(geometry, fraction):
     sc = with_chip_power(default_scenario(**geometry), 0.0)
     r_h = sc.txrx_horizontal_m
     r = fraction * r_h
-    g = placement_objective(r, 0.0, sc)
-    assert placement_objective(r_h - r, 0.0, sc) == pytest.approx(g, rel=1e-12)
+    g = placement_objective(r, sc)
+    assert placement_objective(r_h - r, sc) == pytest.approx(g, rel=1e-12)
 
 
 # ------------------------------------------------------------- site selection

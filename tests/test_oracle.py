@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from risharvest import oracle
-from risharvest.geometry import element_grid
 from risharvest.link import ReflectionState, path_phase_rad, snr_cophased, snr_explicit
 from risharvest.optimizer import solve_placement
 from risharvest.oracle import _MAX_ELEMENTS, brute_force_solve, exhaustive_phase_search
@@ -158,7 +157,7 @@ def test_2x2_16_levels_brackets_cophased(tiny_scenario):
 
 def itertools_best_snr(sc, r1h, levels, a):
     """Best SNR over every unreduced profile, scored one by one in plain Python."""
-    psi = path_phase_rad(r1h, element_grid(sc), sc)
+    psi = path_phase_rad(r1h, sc)
     const = snr_explicit(r1h, ReflectionState(np.ones(psi.shape), -psi), sc) / sc.m_s**2
     level_values = [2 * math.pi * k / levels for k in range(levels)]
     phasors = [[a * cmath.exp(-1j * (v + p)) for v in level_values] for p in psi.ravel()]
