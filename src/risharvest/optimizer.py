@@ -23,7 +23,7 @@ import numpy as np
 from . import geometry, link
 from .scenario import Scenario, db
 
-# interior reporting clamp; the physical amplitude interval is open (0, 1)
+# upper reporting clamp; the physical amplitude interval is open (0, 1)
 _EPS_A = 1e-9
 # placement search: each round splits every kept cell into _SPLIT equal cells
 # and scores all their edges in one array call, until the cells are _STOP_M
@@ -43,10 +43,9 @@ _TIE_REL = 1e-15
 class PlacementSolution:
     """Result of a placement evaluation or search.
 
-    When infeasible (consumption exceeds the harvest ceiling everywhere in
-    the searched range), all optimum fields stay None. a_boundary marks the
-    degenerate endpoints: a_opt = 1 at zero consumption, a_opt = 0 when the
-    harvest ceiling is met exactly.
+    When infeasible (the harvest ceiling does not exceed the consumption
+    anywhere in the searched range), all optimum fields stay None. a_boundary
+    marks the one degenerate endpoint, a_opt = 1 at zero consumption.
     """
 
     feasible: bool
@@ -102,21 +101,21 @@ def evaluate_placement(scenario: Scenario, r1h_m: float) -> PlacementSolution:
     The draw P_ris is the scenario's own consumption, scenario.p_ris_w, which
     its key ranges keep nonnegative. A* = sqrt(1 - P_ris / ceiling) and the
     harvested power (1 - A^2) * ceiling come from one value of
-    link.harvest_ceiling. Infeasible when P_ris exceeds the ceiling; the
-    comparison comes first, so the quotient is at most 1. A* is a boundary
-    value only at zero consumption (A* = 1) and when the radicand is exactly
-    0 (A* = 0); any other A* is clamped into [_EPS_A, 1 - _EPS_A], so a
-    radicand that rounds to 1 still harvests. objective_curve stays None.
+    link.harvest_ceiling. Feasible only when P_ris < ceiling, solve_placement's
+    test at r1h = 0; then P_ris / ceiling <= 1 - 2^-53, so A* >= 1.05e-8. A*
+    is a boundary value only at zero consumption (A* = 1); any other A* is
+    clamped to at most 1 - _EPS_A, so a radicand that rounds to 1 still
+    harvests. objective_curve stays None.
     """
     p_ris = scenario.p_ris_w
     r1, _ = geometry.center_distances(r1h_m, scenario)
     ceiling = link.harvest_ceiling(r1, scenario)
-    if p_ris > ceiling:
+    if not p_ris < ceiling:
         return PlacementSolution(feasible=False)
     a = math.sqrt(1.0 - p_ris / ceiling)
-    boundary = p_ris == 0.0 or a == 0.0
+    boundary = p_ris == 0.0
     if not boundary:
-        a = min(max(a, _EPS_A), 1.0 - _EPS_A)
+        a = min(a, 1.0 - _EPS_A)
     snr = float(link.snr_cophased(r1h_m, a, scenario))
     return PlacementSolution(
         feasible=True,
@@ -124,7 +123,7 @@ def evaluate_placement(scenario: Scenario, r1h_m: float) -> PlacementSolution:
         a_opt=a,
         a_boundary=boundary,
         snr_opt_linear=snr,
-        snr_opt_db=db(snr) if snr > 0.0 else float("-inf"),
+        snr_opt_db=db(snr),
         p_harv_w=float(ceiling * (1.0 - a * a)),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, link
-from .scenario import Scenario
+from .scenario import Scenario, format_value
 
 # tractability guard for the exhaustive phase enumeration
 _MAX_ELEMENTS = 9
@@ -48,29 +48,33 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
     The r1h columns go in blocks of at most _CHUNK_LATTICE_POINTS lattice
     points, one link.harvest_ceiling call each (one block at the default steps
     up to a 523 m span). A column's uniform-amplitude harvest is its ceiling
-    times (1 - a^2); columns whose ceiling cannot cover the consumption are
-    dropped, the others keep the lattice amplitude whose harvest lands nearest
-    it; one link.snr_cophased call at A = 1, times a^2, scores a block, and the
-    kept point with maximal SNR wins; ties go to the lowest r1h. Steps must be
-    positive and finite, and lattices above _MAX_LATTICE_POINTS points are
-    refused before anything is allocated.
+    times (1 - a^2); a column is kept only when its ceiling exceeds the
+    consumption, the analytic solver's autonomy test, and keeps the lattice
+    amplitude whose harvest lands nearest it; one link.snr_cophased call at
+    A = 1, times a^2, scores a block, and the kept point with maximal SNR
+    wins; ties go to the lowest r1h. Steps must be positive and finite; a
+    lattice above _MAX_LATTICE_POINTS points or with fewer than two
+    amplitudes is refused before anything is allocated.
     """
     if not (0.0 < r1h_step_m < math.inf and 0.0 < a_step < math.inf):
         raise ValueError("lattice steps must be positive and finite")
     n_points = (scenario.txrx_horizontal_m / r1h_step_m + 1.0) / a_step
     if n_points > _MAX_LATTICE_POINTS:
         raise ValueError(f"lattice of {n_points:.3g} points exceeds the guard of {_MAX_LATTICE_POINTS:.0e}")
+    n_amplitudes = int(round(1.0 / a_step))
+    if n_amplitudes < 2:
+        raise ValueError(f"a_step {format_value(a_step)} leaves fewer than two amplitudes in [0, 1)")
     p_ris = scenario.p_ris_w
     n_columns = int(round(scenario.txrx_horizontal_m / r1h_step_m)) + 1
-    a_grid = a_step * np.arange(int(round(1.0 / a_step)))  # [0, 1)
-    block = max(1, _CHUNK_LATTICE_POINTS // max(a_grid.size, 1))
+    a_grid = a_step * np.arange(n_amplitudes)  # [0, 1)
+    block = max(1, _CHUNK_LATTICE_POINTS // n_amplitudes)
 
     best = None
     for start in range(0, n_columns, block):
         r_grid = r1h_step_m * np.arange(start, min(start + block, n_columns))
         r1, _ = geometry.center_distances(r_grid, scenario)
         ceiling = link.harvest_ceiling(r1, scenario)
-        keep = ceiling >= p_ris
+        keep = ceiling > p_ris
         if not keep.any():
             continue
         p_harv = ceiling[keep, None] * (1.0 - a_grid ** 2)

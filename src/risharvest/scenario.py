@@ -38,8 +38,8 @@ def range_error(label: str, value, lo, hi) -> ConfigError:
 
 
 def db(x):
-    """Linear power ratio to dB."""
-    return 10.0 * math.log10(x)
+    """Linear power ratio to dB: -inf for 0; a negative ratio raises ValueError."""
+    return 10.0 * math.log10(x) if x != 0.0 else -math.inf
 
 
 # closed ranges [lo, hi] that several keys share, in their SI units

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 import risharvest
-from risharvest import cli, geometry
+from risharvest import cli, geometry, link
 from risharvest.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -21,7 +21,7 @@ from risharvest.cli import (
     main,
     sweep_rows,
 )
-from risharvest.scenario import KNOWN_KEYS, MAX_INPUT_CHARS
+from risharvest.scenario import KNOWN_KEYS, MAX_INPUT_CHARS, load_scenario
 
 CSV_HEADER = "p_c_w,y_s_m,feasible,r1h_opt_m,a_opt,snr_opt_db,p_harv_w,p_ris_w"
 
@@ -402,7 +402,28 @@ def test_validate_coarse_a_step_refused(default_config_path, capsys, value):
                              "--a-step", value)
     assert code == EXIT_CONFIG
     assert out == ""
-    assert err.startswith(f"config error: --a-step {float(value)!r}") and err.count("\n") == 1
+    assert err == f"error: a_step {float(value)!r} leaves fewer than two amplitudes in [0, 1)\n"
+
+
+def test_exact_ceiling_is_not_self_powered(default_config_path, capsys, tmp_path):
+    # P_ris == ceiling(r1h = 0): solve, validate and a site at r1h = 0 all
+    # find the surface not self-powered, so validate has nothing to disagree on
+    sc = load_scenario(default_config_path)
+    ceiling = float(link.harvest_ceiling(geometry.center_distances(0.0, sc)[0], sc))
+    argv = ["--config", str(default_config_path), "--override", "p_chip_w=0",
+            "--override", "n_rectifiers=1", "--override", f"p_rectifier_w={ceiling!r}"]
+    assert run_cli(capsys, "solve", *argv)[0] == EXIT_INFEASIBLE
+    code, out, err = run_cli(capsys, "validate", *argv)
+    kv = parse_kv(out)
+    assert (code, err) == (EXIT_OK, "")
+    assert kv["analytic_feasible"] == kv["oracle_feasible"] == "false"
+    assert kv["verdict"] == "pass"
+    sites = tmp_path / "sites.cfg"
+    sites.write_text(f"site.0.r1h_m = 0\nsite.0.lateral_offset_m = {sc.lateral_offset_m!r}\n"
+                     f"site.0.ris_height_m = {sc.ris_height_m!r}\n")
+    code, out, _ = run_cli(capsys, "select-site", *argv, "--sites", str(sites))
+    assert code == EXIT_INFEASIBLE
+    assert out.endswith("0,0.0,5.0,12.0,false,\nselected_index = none\n")
 
 
 # ---------------------------------------------------------------- select-site

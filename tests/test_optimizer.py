@@ -86,10 +86,11 @@ def test_zero_consumption_full_reflection(scenario):
 
 
 def test_amplitude_at_exact_ceiling(scenario):
+    # P_ris == ceiling leaves no margin: not self-powered, as in solve_placement
     ceiling = harvest_ceiling(10.0, scenario)
     sol = evaluate_placement(with_draw(scenario, ceiling), 10.0)
-    assert sol.a_opt == 0.0
-    assert sol.p_harv_w == ceiling
+    assert not sol.feasible
+    assert sol.a_opt is None and sol.p_harv_w is None
 
 
 def test_amplitude_above_ceiling_infeasible(scenario):
@@ -238,10 +239,28 @@ def test_evaluate_placement_zero_consumption_boundary(scenario):
 
 
 def test_evaluate_placement_ceiling_boundary(scenario):
+    # the ceiling met exactly is infeasible; one float below it, P_ris / ceiling
+    # is at most 1 - 2^-53, so A* is interior and at least 2^-26.5
     ceiling = harvest_ceiling(10.0, scenario)
-    sol = evaluate_placement(with_draw(scenario, ceiling), 10.0)
-    assert sol.feasible and sol.a_opt == 0.0 and sol.a_boundary
-    assert sol.snr_opt_linear == 0.0 and sol.snr_opt_db == float("-inf")
+    assert not evaluate_placement(with_draw(scenario, ceiling), 10.0).feasible
+    sol = evaluate_placement(with_draw(scenario, float(np.nextafter(ceiling, 0.0))), 10.0)
+    assert sol.feasible and not sol.a_boundary
+    assert sol.a_opt > 1.05e-8
+    assert sol.snr_opt_linear > 0.0 and sol.snr_opt_db > float("-inf")
+
+
+@pytest.mark.parametrize("draw, self_powered", [
+    (lambda ceiling: ceiling * (1.0 - 2.0 ** -52), True),
+    (lambda ceiling: ceiling, False),
+    (lambda ceiling: float(np.nextafter(ceiling, math.inf)), False),
+], ids=["below", "exact", "above"])
+def test_one_autonomy_test_at_the_ceiling(scenario, draw, self_powered):
+    # the search, a fixed placement at r1h = 0 and the oracle all call the
+    # surface self-powered only when P_ris < ceiling(0)
+    sc = with_draw(scenario, draw(harvest_ceiling(0.0, scenario)))
+    assert solve_placement(sc).feasible == self_powered
+    assert evaluate_placement(sc, 0.0).feasible == self_powered
+    assert brute_force_solve(sc).feasible == self_powered
 
 
 # --------------------------------------------------------------------- search
@@ -497,14 +516,18 @@ DEFAULT_GEOMETRY = {"lateral_offset_m": 5.0, "txrx_horizontal_m": 100.0, "tx_hei
 @settings(max_examples=50, deadline=None)
 @given(geometries, st.integers(1, 60), st.integers(1, 60), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @example(DEFAULT_GEOMETRY, 50, 50, 0.1, 0.0)  # P_ris = 0: A = 1
-@example(DEFAULT_GEOMETRY, 50, 50, 0.1, 1.0)  # P_ris = ceiling: A = 0
+@example(DEFAULT_GEOMETRY, 50, 50, 0.1, 1.0)  # P_ris = ceiling: infeasible
 def test_evaluate_placement_harvest_is_element_sum(geometry, rows, cols, fraction, share):
     # the closed form (1 - A^2) * ceiling equals the per-element pairwise sum
     sc = default_scenario(**geometry, ris_rows=rows, ris_cols=cols)
     r1h = fraction * sc.txrx_horizontal_m
     sol = evaluate_placement(with_draw(sc, share * harvest_ceiling(r1h, sc)), r1h)
+    if share == 1.0:
+        # the ceiling met exactly leaves no margin: not self-powered
+        assert not sol.feasible
+        return
     assert sol.feasible
-    assert sol.a_boundary or share not in (0.0, 1.0)
+    assert sol.a_boundary or share != 0.0
     summed = element_sum_harvest(r1h, sol.a_opt, sc)
     assert sol.p_harv_w == pytest.approx(summed, rel=1e-14, abs=0.0)
 

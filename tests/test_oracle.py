@@ -28,6 +28,11 @@ def test_bad_steps_rejected(scenario):
         brute_force_solve(scenario, r1h_step_m=0.0)
     with pytest.raises(ValueError):
         brute_force_solve(scenario, a_step=-0.1)
+    # a lattice of round(1 / a_step) < 2 amplitudes cannot meet the harvest equality
+    for a_step in (0.9, 3.0):
+        with pytest.raises(ValueError, match=rf"^a_step {a_step!r} leaves fewer than two amplitudes"):
+            brute_force_solve(scenario, a_step=a_step)
+    assert brute_force_solve(scenario, a_step=0.5).feasible
 
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])

@@ -38,6 +38,9 @@ from risharvest.scenario import (
 def test_db_roundtrip():
     assert db(1.0) == 0.0
     assert db(100.0) == pytest.approx(20.0, rel=1e-15)
+    assert db(0.0) == -math.inf
+    with pytest.raises(ValueError):
+        db(-1.0)
 
 
 # ---------------------------------------------------------------- noise model
