@@ -172,6 +172,9 @@ def cmd_validate(args) -> int:
     scenario = load_scenario(args.config, args.override)
     analytic = optimizer.solve_placement(scenario)
     lattice = oracle.brute_force_solve(scenario, args.r1h_step, args.a_step)
+    if analytic.feasible and lattice.a == 0.0:  # A* below about a_step/2: a lattice SNR of 0
+        raise ConfigError(f"--a-step {args.a_step!r} cannot resolve the optimal amplitude "
+                          f"A* = {_fmt(analytic.a_opt)}: every feasible lattice column picks A = 0")
     print(f"oracle_r1h_step_m = {_fmt(args.r1h_step)}")
     print(f"oracle_a_step = {_fmt(args.a_step)}")
     print(f"analytic_feasible = {_fmt(analytic.feasible)}")
@@ -307,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="chip-power / lateral-offset sweep to CSV")
     add_common(p_sweep)
-    p_sweep.add_argument("--pc-log", nargs=3, type=float, metavar=("START", "STOP", "N"),
-                         help="log-spaced chip powers in watts (default 1e-8 1e-4 30)")
-    p_sweep.add_argument("--pc-list", help="comma-separated chip powers in watts")
+    pc_flags = p_sweep.add_mutually_exclusive_group()
+    pc_flags.add_argument("--pc-log", nargs=3, type=float, metavar=("START", "STOP", "N"),
+                          help="log-spaced chip powers in watts (default 1e-8 1e-4 30)")
+    pc_flags.add_argument("--pc-list", help="comma-separated chip powers in watts")
     p_sweep.add_argument("--ys-list", help="comma-separated lateral offsets in meters "
                                            "(default 5,10,20)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")

@@ -347,15 +347,19 @@ def test_validate_r1h_step_above_tolerance_refused(default_config_path, capsys, 
 
 
 def test_validate_zero_oracle_snr_fails_classified(default_config_path, capsys):
-    # just below the autonomy threshold every feasible lattice column keeps
-    # A = 0, so the oracle's best SNR is 0: -inf dB, a failed SNR check
-    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path),
-                             "--override", "p_chip_w=4.329552e-5")
-    assert code == EXIT_VALIDATION
-    kv = parse_kv(out)
-    assert kv["oracle_snr_db"] == "-inf" and kv["delta_snr_db"] == "inf"
-    assert kv["verdict"] == "fail"
-    assert err == "FAIL: SNR delta exceeds tolerance\n"
+    # just below the autonomy threshold A* is under half the amplitude step, so
+    # every feasible lattice column keeps A = 0, an oracle SNR of 0: the step
+    # is refused before any stdout line, rather than a correct solve failed
+    sc = load_scenario(default_config_path)
+    ceiling = float(link.harvest_ceiling(geometry.center_distances(0.0, sc)[0], sc))
+    below_ceiling = ["p_chip_w=0", "n_rectifiers=1", f"p_rectifier_w={ceiling * (1 - 1e-7)!r}"]
+    for overrides, a_star in ((["p_chip_w=4.329552e-5"], "0.000355"), (below_ceiling, "0.000316")):
+        argv = [arg for value in overrides for arg in ("--override", value)]
+        code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: --a-step 0.001 cannot resolve the optimal amplitude "
+                              f"A* = {a_star}")
+        assert err.endswith(": every feasible lattice column picks A = 0\n") and err.count("\n") == 1
 
 
 def test_validate_infeasible_shrink_skips_phase_check(default_config_path, capsys):
@@ -779,6 +783,18 @@ def test_non_numeric_pc_log_is_config_error(default_config_path, capsys, tmp_pat
     )
     assert code == EXIT_CONFIG
     assert err == "risharvest sweep: error: argument --pc-log: invalid float value: 'abc'\n"
+
+
+def test_pc_log_and_pc_list_exclusive(default_config_path, capsys, tmp_path):
+    # one of the two chip-power lists, never both with one silently dropped
+    out_csv = tmp_path / "x.csv"
+    code, out, err = exit_of(
+        capsys, "sweep", "--config", str(default_config_path), "--pc-log", "1e-8", "1e-4", "3",
+        "--pc-list", "1e-6", "--out", str(out_csv),
+    )
+    assert code == EXIT_CONFIG
+    assert err == "risharvest sweep: error: argument --pc-list: not allowed with argument --pc-log\n"
+    assert out == "" and not out_csv.exists()
 
 
 def test_help_exits_zero(capsys):

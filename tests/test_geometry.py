@@ -6,9 +6,12 @@ and RX at (r_h, 0, h_r), then measures plain Euclidean distances.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risharvest.geometry import ElementGrid, center_distances, element_distances, element_grid
 from risharvest.scenario import ConfigError, default_scenario
@@ -21,7 +24,7 @@ LAM = 299_792_458.0 / 28e9
 
 def test_single_element_grid():
     g = element_grid(default_scenario(ris_rows=1, ris_cols=1))
-    assert g.shape == (1, 1)
+    assert g.d_p.shape == (1, 1)
     assert g.d_p[0, 0] == 0.0
     assert g.d_l[0, 0] == 0.0
 
@@ -33,16 +36,11 @@ def test_two_element_row_symmetric():
 
 def test_50x50_grid_centering(scenario):
     g = element_grid(scenario)
-    assert g.shape == (50, 50)
+    assert g.d_p.shape == (50, 50)
     assert g.d_p.max() == pytest.approx(24.5 * scenario.element_dx_m, rel=1e-15)
     assert g.d_p.min() == pytest.approx(-24.5 * scenario.element_dx_m, rel=1e-15)
     assert abs(g.d_p.mean()) < 1e-12
     assert abs(g.d_l.mean()) < 1e-12
-
-
-def test_grid_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        ElementGrid(d_p=np.zeros((2, 2)), d_l=np.zeros((2, 3)))
 
 
 def test_degenerate_dimensions_rejected():
@@ -86,11 +84,39 @@ def test_center_distances_array_path(scenario):
 
 
 def test_center_element_equals_center_distance(scenario):
-    g = ElementGrid(d_p=np.zeros((1, 1)), d_l=np.zeros((1, 1)))
-    r1pl, r2pl = element_distances(10.0, g, scenario)
-    r1, r2 = center_distances(10.0, scenario)
-    assert r1pl[0, 0] == r1
-    assert r2pl[0, 0] == r2
+    # the center is the element at offset (0, 0), bit for bit
+    r1h = np.array([0.0, 1e-7, 10.0, math.pi, 37.3, scenario.txrx_horizontal_m])
+    g = ElementGrid(d_p=np.zeros(r1h.shape), d_l=np.zeros(r1h.shape))
+    r1pl, r2pl = element_distances(r1h, g, scenario)
+    r1, r2 = center_distances(r1h, scenario)
+    assert np.array_equal(r1pl, r1)
+    assert np.array_equal(r2pl, r2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({
+    "lateral_offset_m": st.floats(1.0, 40.0),
+    "txrx_horizontal_m": st.floats(20.0, 400.0),
+    "tx_height_m": st.floats(1.0, 20.0),
+    "rx_height_m": st.floats(1.0, 20.0),
+    "ris_height_m": st.floats(5.0, 30.0),
+    "ris_rows": st.integers(1, 8),
+    "ris_cols": st.integers(1, 8),
+    "element_dx_m": st.floats(1e-3, 1.0),
+    "element_dy_m": st.floats(1e-3, 1.0),
+}), st.floats(0.0, 1.0))
+def test_element_is_center_of_shifted_surface(params, fraction):
+    # element (p, l) at r1h is the center of a one-element surface mounted at
+    # r1h - d_p and ris_height_m - d_l, the rest of the scene unchanged
+    sc = default_scenario(**params)
+    r1h = fraction * sc.txrx_horizontal_m
+    g = element_grid(sc)
+    r1pl, r2pl = element_distances(r1h, g, sc)
+    for p, l in np.ndindex(g.d_p.shape):
+        shifted = replace(sc, ris_rows=1, ris_cols=1, ris_height_m=sc.ris_height_m - g.d_l[p, l])
+        r1, r2 = center_distances(r1h - g.d_p[p, l], shifted)
+        assert r1pl[p, l] == pytest.approx(r1, rel=1e-12)
+        assert r2pl[p, l] == pytest.approx(r2, rel=1e-12)
 
 
 def test_mirror_elements_swap_distances(scenario):
