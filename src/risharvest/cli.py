@@ -36,7 +36,6 @@ PHASE_LEVELS = 16
 
 # default sweep grids (the y_s values are artifact defaults, overridable)
 DEFAULT_YS_M = (5.0, 10.0, 20.0)
-DEFAULT_PC_LOG = (1e-8, 1e-4, 30)
 MAX_PC_POINTS = 10_000
 
 
@@ -137,15 +136,11 @@ def cmd_sweep(args) -> int:
     if args.pc_list:
         p_c_list = _parse_float_list(args.pc_list, "--pc-list")
     else:
-        start, stop, count = args.pc_log if args.pc_log else DEFAULT_PC_LOG
+        start, stop, count = (parse_number(f"--pc-log {name}", text, integer=name == "N")
+                              for name, text in zip(("START", "STOP", "N"), args.pc_log))
         # checked before np.logspace allocates anything
-        if not (math.isfinite(start) and math.isfinite(stop)
-                and float(count).is_integer() and count <= MAX_PC_POINTS):
-            raise ConfigError(f"--pc-log needs finite START/STOP and an integer N of at most "
-                              f"{MAX_PC_POINTS}")
-        count = int(count)
-        if start <= 0 or stop <= 0 or count < 1:
-            raise ConfigError("--pc-log needs positive START/STOP and at least 1 point")
+        if not (start > 0 and stop > 0 and 1 <= count <= MAX_PC_POINTS):
+            raise ConfigError(f"--pc-log needs START > 0, STOP > 0 and 1 <= N <= {MAX_PC_POINTS}")
         p_c_list = [float(v) for v in np.logspace(math.log10(start), math.log10(stop), count)]
     y_s_list = _parse_float_list(args.ys_list, "--ys-list") if args.ys_list else list(DEFAULT_YS_M)
     n_feasible = 0
@@ -164,19 +159,21 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- validate
 
 def cmd_validate(args) -> int:
+    r1h_step = parse_number("--r1h-step", args.r1h_step)
+    a_step = parse_number("--a-step", args.a_step)
     # the lattice's pick can sit a whole step from the optimum, so a step
     # coarser than the placement tolerance makes the verdict meaningless
-    if R1H_TOLERANCE_M < args.r1h_step < math.inf:
-        raise ConfigError(f"--r1h-step {args.r1h_step!r} is coarser than the "
+    if r1h_step > R1H_TOLERANCE_M:
+        raise ConfigError(f"--r1h-step {r1h_step!r} is coarser than the "
                           f"{R1H_TOLERANCE_M!r} m placement tolerance")
     scenario = load_scenario(args.config, args.override)
     analytic = optimizer.solve_placement(scenario)
-    lattice = oracle.brute_force_solve(scenario, args.r1h_step, args.a_step)
+    lattice = oracle.brute_force_solve(scenario, r1h_step, a_step)
     if analytic.feasible and lattice.a == 0.0:  # A* below about a_step/2: a lattice SNR of 0
-        raise ConfigError(f"--a-step {args.a_step!r} cannot resolve the optimal amplitude "
+        raise ConfigError(f"--a-step {a_step!r} cannot resolve the optimal amplitude "
                           f"A* = {_fmt(analytic.a_opt)}: every feasible lattice column picks A = 0")
-    print(f"oracle_r1h_step_m = {_fmt(args.r1h_step)}")
-    print(f"oracle_a_step = {_fmt(args.a_step)}")
+    print(f"oracle_r1h_step_m = {_fmt(r1h_step)}")
+    print(f"oracle_a_step = {_fmt(a_step)}")
     print(f"analytic_feasible = {_fmt(analytic.feasible)}")
     print(f"oracle_feasible = {_fmt(lattice.feasible)}")
 
@@ -198,8 +195,9 @@ def cmd_validate(args) -> int:
         if delta_snr_db > SNR_TOLERANCE_DB:
             failures.append("SNR delta exceeds tolerance")
 
-    # quantized-phase cross-check on a 2x2 shrink of the same scenario
-    small = replace(scenario, ris_rows=2, ris_cols=2)
+    # quantized-phase cross-check on the same scenario shrunk to at most 2x2
+    rows, cols = min(scenario.ris_rows, 2), min(scenario.ris_cols, 2)
+    small = replace(scenario, ris_rows=rows, ris_cols=cols)
     small_sol = optimizer.solve_placement(small)
     if small_sol.feasible:
         ideal = snr_cophased(small_sol.r1h_opt_m, small_sol.a_opt, small)
@@ -213,7 +211,7 @@ def cmd_validate(args) -> int:
         if not (floor <= ratio <= 1.0 + 1e-9):
             failures.append("quantized-phase check outside bounds")
     else:
-        print("phase_check_ratio = none (2x2 shrink infeasible)")
+        print(f"phase_check_ratio = none ({rows}x{cols} shrink infeasible)")
 
     if failures:
         for failure in failures:
@@ -267,9 +265,13 @@ def parse_sites_text(text: str):
 def cmd_select_site(args) -> int:
     scenario = load_scenario(args.config, args.override)
     sites = parse_sites_text(read_input_file(args.sites, "sites"))
-    best_index, solutions = optimizer.select_site(
-        (replace(scenario, **dict(zip(SITE_FIELDS[1:], mount))), r1h) for r1h, *mount in sites
-    )
+    candidates = []
+    for index, (r1h, *mount) in enumerate(sites):
+        try:
+            candidates.append((replace(scenario, **dict(zip(SITE_FIELDS[1:], mount))), r1h))
+        except ConfigError as exc:
+            raise ConfigError(f"site.{index}: {exc}") from None
+    best_index, solutions = optimizer.select_site(candidates)
     print(",".join(("index", *SITE_FIELDS, "feasible", "snr_opt_db")))
     for idx, (site, sol) in enumerate(zip(sites, solutions)):
         snr = _fmt(sol.snr_opt_db) if sol.feasible else ""
@@ -311,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="chip-power / lateral-offset sweep to CSV")
     add_common(p_sweep)
     pc_flags = p_sweep.add_mutually_exclusive_group()
-    pc_flags.add_argument("--pc-log", nargs=3, type=float, metavar=("START", "STOP", "N"),
+    pc_flags.add_argument("--pc-log", nargs=3, default=("1e-8", "1e-4", "30"),
+                          metavar=("START", "STOP", "N"),
                           help="log-spaced chip powers in watts (default 1e-8 1e-4 30)")
     pc_flags.add_argument("--pc-list", help="comma-separated chip powers in watts")
     p_sweep.add_argument("--ys-list", help="comma-separated lateral offsets in meters "
@@ -321,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="compare the analytic solution to brute force")
     add_common(p_val)
-    p_val.add_argument("--r1h-step", type=float, default=0.5, help="oracle placement step, m")
-    p_val.add_argument("--a-step", type=float, default=0.001, help="oracle amplitude step")
+    p_val.add_argument("--r1h-step", default="0.5", help="oracle placement step, m")
+    p_val.add_argument("--a-step", default="0.001", help="oracle amplitude step")
     p_val.set_defaults(func=cmd_validate)
 
     p_site = sub.add_parser("select-site", help="pick the best mounted site from a sites file")

@@ -275,15 +275,16 @@ def test_sweep_bad_pc_list(default_config_path, capsys, tmp_path):
         assert out == "" and not out_csv.exists()
 
 
-_PC_LOG_UNBOUNDED = "config error: --pc-log needs finite START/STOP and an integer N of at most 10000\n"
-_PC_LOG_EMPTY = "config error: --pc-log needs positive START/STOP and at least 1 point\n"
+_PC_LOG_RANGE = "config error: --pc-log needs START > 0, STOP > 0 and 1 <= N <= 10000\n"
 # --pc-log START STOP N -> the one stderr line that refuses it
 PC_LOG_REFUSALS = {
-    ("1e-8", "1e-4", "inf"): _PC_LOG_UNBOUNDED, ("1e-8", "1e-4", "nan"): _PC_LOG_UNBOUNDED,
-    ("1e-8", "1e-4", "2.5"): _PC_LOG_UNBOUNDED, ("1e-8", "1e-4", "1e9"): _PC_LOG_UNBOUNDED,
-    ("1e-8", "1e-4", "10001"): _PC_LOG_UNBOUNDED, ("inf", "1e-4", "5"): _PC_LOG_UNBOUNDED,
-    ("1e-8", "nan", "5"): _PC_LOG_UNBOUNDED,
-    ("0", "1e-4", "5"): _PC_LOG_EMPTY, ("1e-8", "1e-4", "0"): _PC_LOG_EMPTY,
+    ("1e-8", "1e-4", "inf"): "config error: --pc-log N must be finite: 'inf'\n",
+    ("1e-8", "1e-4", "nan"): "config error: --pc-log N must be finite: 'nan'\n",
+    ("1e-8", "1e-4", "2.5"): "config error: --pc-log N must be an integer: '2.5'\n",
+    ("1e-8", "1e-4", "1e9"): _PC_LOG_RANGE, ("1e-8", "1e-4", "10001"): _PC_LOG_RANGE,
+    ("inf", "1e-4", "5"): "config error: --pc-log START must be finite: 'inf'\n",
+    ("1e-8", "nan", "5"): "config error: --pc-log STOP must be finite: 'nan'\n",
+    ("0", "1e-4", "5"): _PC_LOG_RANGE, ("1e-8", "1e-4", "0"): _PC_LOG_RANGE,
 }
 
 
@@ -372,6 +373,21 @@ def test_validate_infeasible_shrink_skips_phase_check(default_config_path, capsy
     assert parse_kv(out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("overrides, ratio", [
+    # one column of 1 m elements at 0.4 m: a 2x2 shrink would reach below ground
+    (("ris_cols=1", "element_dy_m=1", "ris_height_m=0.4"), 0.9917726039003204),
+    # one element has one phase to pick, so the quantized profile is ideal
+    (("ris_rows=1", "ris_cols=1"), 1.0),
+], ids=["one_column", "one_element"])
+def test_validate_shrink_never_exceeds_surface(default_config_path, capsys, overrides, ratio):
+    argv = [arg for value in overrides for arg in ("--override", value)]
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), *argv)
+    assert (code, err) == (EXIT_OK, "")
+    kv = parse_kv(out)
+    assert len(kv) == 13 and kv["verdict"] == "pass"
+    assert float(kv["phase_check_ratio"]) == pytest.approx(ratio, rel=1e-9)
+
+
 def test_validate_placement_delta_fails_classified(default_config_path, capsys):
     # a near-mirror scene at zero draw: the analytic search takes the lobe
     # near the RX and the 0.5 m lattice the one near the TX, whose SNRs agree
@@ -388,15 +404,21 @@ def test_validate_placement_delta_fails_classified(default_config_path, capsys):
     assert err == "FAIL: placement delta exceeds tolerance\n"
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--a-step", "1e-12"), ("--r1h-step", "1e-9"), ("--a-step", "nan"), ("--r1h-step", "inf"),
-])
+# validate flag and value -> the start of the one stderr line that refuses it
+LATTICE_REFUSALS = {
+    ("--a-step", "1e-12"): "error: lattice", ("--r1h-step", "1e-9"): "error: lattice",
+    ("--a-step", "nan"): "config error: --a-step must be finite: 'nan'\n",
+    ("--r1h-step", "inf"): "config error: --r1h-step must be finite: 'inf'\n",
+    ("--r1h-step", "abc"): "config error: --r1h-step is not a number: 'abc'\n",
+}
+
+
+@pytest.mark.parametrize("flag, value", list(LATTICE_REFUSALS))
 def test_validate_unbounded_lattice_rejected(default_config_path, capsys, flag, value):
     # every value here is refused before the lattice is allocated
     code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), flag, value)
-    assert code == EXIT_CONFIG
-    assert err.startswith("error: lattice")
-    assert "verdict" not in out
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(LATTICE_REFUSALS[flag, value]) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["0.67", "0.7", "3"])
@@ -485,6 +507,12 @@ BAD_SITES_FILES = {
         "config error: line 2: site.0.r1h_m = 1e+200 lies outside its range [-1000000000.0, ",
     "site.0.r1h_m = -1e160\nsite.0.lateral_offset_m = 5\nsite.0.ris_height_m = 12\n":
         "config error: line 1: site.0.r1h_m = -1e+160 lies outside its range",
+    # a refusal from a site's Scenario names the site
+    "site.0.r1h_m = 1\nsite.0.lateral_offset_m = 5\nsite.0.ris_height_m = 12\n"
+    "site.1.r1h_m = 1\nsite.1.lateral_offset_m = 0\nsite.1.ris_height_m = 12\n":
+        "config error: site.1: lateral_offset_m = 0.0 lies outside its range [1e-09, ",
+    "site.0.r1h_m = 1\nsite.0.lateral_offset_m = 5\nsite.0.ris_height_m = 0.001\n":
+        "config error: site.0: ris_height_m must exceed the surface's lower half-aperture ",
 }
 
 
@@ -657,11 +685,16 @@ HOSTILE_TOKENS = ("nan", "inf", "-inf", "-1", "0", "", "abc", "2.5")
 @pytest.mark.filterwarnings("ignore:.*below 10 wavelengths:UserWarning")
 def test_hostile_values_exit_cleanly(default_config_path, sites_config_path, capsys, tmp_path):
     # every case must end in 0, 2 or 3, and 3 with exactly one stderr line
+    # and nothing on stdout
     def check(*argv):
-        code, _, err = run_cli(capsys, *argv)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # a usage error that argparse ends itself
+            code = exc.code
+        out, err = capsys.readouterr()
         assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG), argv
         if code == EXIT_CONFIG:
-            assert err.count("\n") == 1, (argv, err)
+            assert err.count("\n") == 1 and out == "", (argv, out, err)
 
     def with_value(path, key, token):
         # the file with the key's line, if any, replaced by `key = token`
@@ -686,6 +719,13 @@ def test_hostile_values_exit_cleanly(default_config_path, sites_config_path, cap
               "--ys-list", "5", "--out", out_csv)
         check("sweep", "--config", str(default_config_path), "--pc-list", "1e-6",
               "--ys-list", f"5,{token}", "--out", out_csv)
+        for position in range(3):
+            pc_log = ["1e-6", "1e-4", "3"]
+            pc_log[position] = token
+            check("sweep", "--config", str(default_config_path), "--pc-log", *pc_log,
+                  "--ys-list", "5", "--out", out_csv)
+        for flag in ("--r1h-step", "--a-step"):
+            check("validate", "--config", str(default_config_path), f"{flag}={token}")
 
 
 # (command and options, start of the one stderr line that refuses them);
@@ -698,12 +738,14 @@ NO_OUTPUT_REFUSALS = [
     # the bad value sorts last: it is refused before the first row is written
     (["sweep", "--pc-list", "1e-6,1e304", "--out", "{tmp}/sweep.csv"],
      "config error: p_chip_w = 1e+304 lies outside its range "),
+    (["solve", "--override", "n_rectifiers=1.5"],
+     "config error: value for 'n_rectifiers' must be an integer: '1.5'"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", NO_OUTPUT_REFUSALS,
                          ids=["solve_out", "sweep_out", "select_site_sites", "empty_override",
-                              "sweep_pc_out_of_range"])
+                              "sweep_pc_out_of_range", "fractional_integer_key"])
 def test_refusals_print_and_write_nothing(default_config_path, capsys, tmp_path, argv, message):
     # the refusal comes before any stdout line, and no file is left behind
     argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -777,12 +819,12 @@ def test_missing_required_flag_is_config_error(default_config_path, capsys):
 
 
 def test_non_numeric_pc_log_is_config_error(default_config_path, capsys, tmp_path):
-    code, _, err = exit_of(
+    code, out, err = run_cli(
         capsys, "sweep", "--config", str(default_config_path),
         "--pc-log", "1e-8", "abc", "5", "--out", str(tmp_path / "x.csv"),
     )
-    assert code == EXIT_CONFIG
-    assert err == "risharvest sweep: error: argument --pc-log: invalid float value: 'abc'\n"
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: --pc-log STOP is not a number: 'abc'\n"
 
 
 def test_pc_log_and_pc_list_exclusive(default_config_path, capsys, tmp_path):
