@@ -19,7 +19,7 @@ sc = default_scenario()
 chip_powers = [float(v) for v in np.logspace(-6, -4, 9)]
 offsets = [5.0, 10.0, 20.0]
 
-rows = sweep_rows(sc, chip_powers, offsets)
+rows = list(sweep_rows(sc, chip_powers, offsets))
 
 for y_s in offsets:
     print(f"lateral offset y_s = {y_s:.0f} m")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import oracle, optimizer
-from .link import snr_cophased
 from .scenario import (KEY_RANGES, ConfigError, Scenario, db, key_value_lines, load_scenario,
                        parse_number, range_error, read_input_file)
 from .scenario import format_value as _fmt
@@ -108,15 +107,13 @@ def _sweep_row(variant: Scenario) -> SweepRow:
 
 
 def _parse_float_list(text: str, flag: str):
-    values = [parse_number(f"{flag} value", part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise ConfigError(f"{flag} is empty")
-    return values
+    return [parse_number(f"{flag} value", part) for part in text.split(",")]
 
 
-def _sweep_rows(scenario: Scenario, p_c_list, y_s_list):
+def sweep_rows(scenario: Scenario, p_c_list, y_s_list):
     """Check every P_c and y_s, one Scenario per value in the order the rows
-    meet them, then return a generator that solves each row as it is taken."""
+    meet them, then return a generator that solves each row as it is taken,
+    ordered by (y_s, P_c) ascending."""
     p_c_list, y_s_list = sorted(p_c_list), sorted(y_s_list)
     for p_c in p_c_list:
         replace(scenario, lateral_offset_m=y_s_list[0], p_chip_w=p_c)
@@ -126,14 +123,9 @@ def _sweep_rows(scenario: Scenario, p_c_list, y_s_list):
             for y_s in y_s_list for p_c in p_c_list)
 
 
-def sweep_rows(scenario: Scenario, p_c_list, y_s_list):
-    """All sweep rows ordered by (y_s, P_c) ascending; one Scenario per row."""
-    return list(_sweep_rows(scenario, p_c_list, y_s_list))
-
-
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.config, args.override)
-    if args.pc_list:
+    if args.pc_list is not None:
         p_c_list = _parse_float_list(args.pc_list, "--pc-list")
     else:
         start, stop, count = (parse_number(f"--pc-log {name}", text, integer=name == "N")
@@ -142,9 +134,10 @@ def cmd_sweep(args) -> int:
         if not (start > 0 and stop > 0 and 1 <= count <= MAX_PC_POINTS):
             raise ConfigError(f"--pc-log needs START > 0, STOP > 0 and 1 <= N <= {MAX_PC_POINTS}")
         p_c_list = [float(v) for v in np.logspace(math.log10(start), math.log10(stop), count)]
-    y_s_list = _parse_float_list(args.ys_list, "--ys-list") if args.ys_list else list(DEFAULT_YS_M)
+    y_s_list = (list(DEFAULT_YS_M) if args.ys_list is None
+                else _parse_float_list(args.ys_list, "--ys-list"))
     n_feasible = 0
-    rows = _sweep_rows(scenario, p_c_list, y_s_list)
+    rows = sweep_rows(scenario, p_c_list, y_s_list)
     # each row is written as it is solved, so memory stays flat in the row count
     with _csv_writer(args.out, SWEEP_COLUMNS) as writer:
         for row in rows:
@@ -164,13 +157,13 @@ def cmd_validate(args) -> int:
     # the lattice's pick can sit a whole step from the optimum, so a step
     # coarser than the placement tolerance makes the verdict meaningless
     if r1h_step > R1H_TOLERANCE_M:
-        raise ConfigError(f"--r1h-step {r1h_step!r} is coarser than the "
-                          f"{R1H_TOLERANCE_M!r} m placement tolerance")
+        raise ConfigError(f"--r1h-step {_fmt(r1h_step)} is coarser than the "
+                          f"{_fmt(R1H_TOLERANCE_M)} m placement tolerance")
     scenario = load_scenario(args.config, args.override)
     analytic = optimizer.solve_placement(scenario)
     lattice = oracle.brute_force_solve(scenario, r1h_step, a_step)
     if analytic.feasible and lattice.a == 0.0:  # A* below about a_step/2: a lattice SNR of 0
-        raise ConfigError(f"--a-step {a_step!r} cannot resolve the optimal amplitude "
+        raise ConfigError(f"--a-step {_fmt(a_step)} cannot resolve the optimal amplitude "
                           f"A* = {_fmt(analytic.a_opt)}: every feasible lattice column picks A = 0")
     print(f"oracle_r1h_step_m = {_fmt(r1h_step)}")
     print(f"oracle_a_step = {_fmt(a_step)}")
@@ -200,12 +193,11 @@ def cmd_validate(args) -> int:
     small = replace(scenario, ris_rows=rows, ris_cols=cols)
     small_sol = optimizer.solve_placement(small)
     if small_sol.feasible:
-        ideal = snr_cophased(small_sol.r1h_opt_m, small_sol.a_opt, small)
         _, best_snr = oracle.exhaustive_phase_search(
             small, small_sol.r1h_opt_m, PHASE_LEVELS, small_sol.a_opt,
         )
         floor = math.cos(math.pi / PHASE_LEVELS) ** 2
-        ratio = best_snr / ideal
+        ratio = best_snr / small_sol.snr_opt_linear
         print(f"phase_levels = {PHASE_LEVELS}")
         print(f"phase_check_ratio = {_fmt(ratio)} (floor {_fmt(floor)})")
         if not (floor <= ratio <= 1.0 + 1e-9):
@@ -226,7 +218,8 @@ def cmd_validate(args) -> int:
 
 # a site's placement and two Scenario fields: its sites-file keys and output columns
 SITE_FIELDS = ("r1h_m", "lateral_offset_m", "ris_height_m")
-_SITE_KEY = re.compile(rf"^site\.(\d+)\.({'|'.join(SITE_FIELDS)})$")
+# one spelling per site: canonical ASCII indices, so a repeated field is a repeated key
+_SITE_KEY = re.compile(rf"site\.(0|[1-9][0-9]*)\.({'|'.join(SITE_FIELDS)})")
 
 
 def parse_sites_text(text: str):
@@ -238,18 +231,15 @@ def parse_sites_text(text: str):
     """
     r1h_max = KEY_RANGES["txrx_horizontal_m"][1]
     entries: dict[int, dict[str, float]] = {}
-    for lineno, key, value in key_value_lines(text):
-        match = _SITE_KEY.match(key)
+    for label, key, value in key_value_lines(text):
+        match = _SITE_KEY.fullmatch(key)
         if not match:
-            raise ConfigError(f"line {lineno}: unknown sites key '{key}'")
+            raise ConfigError(f"{label}: unknown sites key '{key}'")
         index, field = int(match.group(1)), match.group(2)
-        entries.setdefault(index, {})
-        if field in entries[index]:
-            raise ConfigError(f"line {lineno}: duplicate sites key '{key}'")
-        number = parse_number(f"line {lineno}: value for '{key}'", value)
+        number = parse_number(f"{label}: value for '{key}'", value)
         if field == SITE_FIELDS[0] and not -r1h_max <= number <= r1h_max:
-            raise range_error(f"line {lineno}: {key}", number, -r1h_max, r1h_max)
-        entries[index][field] = number
+            raise range_error(f"{label}: {key}", number, -r1h_max, r1h_max)
+        entries.setdefault(index, {})[field] = number
     if not entries:
         raise ConfigError("sites file defines no sites")
     indices = sorted(entries)

@@ -9,7 +9,9 @@ The config keys are written nowhere but in the dataclass: each field declares
 its key's closed range, which Scenario checks on construction, the key table
 is read from the fields in their order, and a key is required exactly when
 its field has no default. read_input_file is the one reader of config and
-sites files, and parse_number the one place where user text becomes a number.
+sites files, key_value the one splitter of `key = value` text (file lines and
+overrides alike), and parse_number the one place where user text becomes a
+number.
 The ranges keep every quantity that the link budget and the placement search
 form inside the normal floats, so no later layer guards against over- or
 underflow.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import chain
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 MAX_SURFACE_ELEMENTS = 1_000_000
@@ -108,7 +111,7 @@ class Scenario:
         half_aperture_m = (self.ris_cols - 1) / 2.0 * self.element_dy_m
         if self.ris_height_m <= half_aperture_m:
             raise ConfigError(f"ris_height_m must exceed the surface's lower half-aperture "
-                              f"{half_aperture_m!r} m, or the surface reaches below ground")
+                              f"{format_value(half_aperture_m)} m, or the surface reaches below ground")
         lam = self.wavelength_m
         for name in ("tx_diameter_m", "rx_diameter_m"):
             if getattr(self, name) / lam < 10.0:
@@ -160,40 +163,53 @@ class Scenario:
 
 # in field order, so the first key out of range is named; int fields are integer keys
 KEY_RANGES = {f.name: f.metadata["range"] for f in fields(Scenario)}
-KNOWN_KEYS = frozenset(KEY_RANGES)
 INTEGER_KEYS = tuple(f.name for f in fields(Scenario) if f.type == "int")
 
 
-def key_value_lines(text: str):
-    """Yield (lineno, key, value) for every `key = value` line of text.
+def key_value(label: str, item: str) -> tuple[str, str]:
+    """Split one `key = value` item into its stripped key and value.
 
-    `#` starts a comment, blank lines are skipped, and any other line without
-    `=` is a ConfigError naming its 1-based line number.
+    A missing `=` or an empty value is a ConfigError that starts with `label`.
     """
+    if "=" not in item:
+        raise ConfigError(f"{label}: expected 'key = value', got {item!r}")
+    key, value = (part.strip() for part in item.split("=", 1))
+    if not value:
+        raise ConfigError(f"{label}: empty value for '{key}'")
+    return key, value
+
+
+def key_value_lines(text: str):
+    """Yield (label, key, value) for every `key = value` line of text, the
+    label `line N` with N counted from 1.
+
+    `#` starts a comment and blank lines are skipped; any other line is split
+    by key_value, and a key already on an earlier line is a ConfigError.
+    """
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        yield lineno, key, value
+        label = f"line {lineno}"
+        key, value = key_value(label, line)
+        if key in seen:
+            raise ConfigError(f"{label}: duplicate key '{key}'")
+        seen.add(key)
+        yield label, key, value
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse the flat `key = value` format into a raw string mapping.
+def parse_config_text(text: str, overrides=()) -> dict[str, str]:
+    """Parse the flat `key = value` format into a raw string mapping, then
+    apply the `KEY=VALUE` override items on top in order, the last one winning.
 
-    Lines starting with `#` (and inline `#` tails) are comments; blank lines
-    are ignored. Duplicate and unknown keys are errors.
+    Every key, in the text or an override, must be a config key.
     """
     mapping: dict[str, str] = {}
-    for lineno, key, value in key_value_lines(text):
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown config key '{key}'")
-        if key in mapping:
-            raise ConfigError(f"line {lineno}: duplicate config key '{key}'")
-        if not value:
-            raise ConfigError(f"line {lineno}: empty value for '{key}'")
+    items = (("--override", *key_value("--override", item)) for item in overrides)
+    for label, key, value in chain(key_value_lines(text), items):
+        if key not in KEY_RANGES:
+            raise ConfigError(f"{label}: unknown config key '{key}'")
         mapping[key] = value
     return mapping
 
@@ -233,8 +249,7 @@ def build_scenario(mapping: dict[str, str]) -> Scenario:
 def load_scenario(path, overrides=()) -> Scenario:
     """Load and validate a scenario from a flat `key = value` config file,
     with `KEY=VALUE` override strings applied on top."""
-    text = read_input_file(path, "config")
-    return build_scenario(apply_overrides(parse_config_text(text), overrides))
+    return build_scenario(parse_config_text(read_input_file(path, "config"), overrides))
 
 
 def read_input_file(path, kind: str) -> str:
@@ -247,21 +262,6 @@ def read_input_file(path, kind: str) -> str:
     if len(text) > MAX_INPUT_CHARS:
         raise ConfigError(f"{kind} file {path} is longer than {MAX_INPUT_CHARS} characters")
     return text
-
-
-def apply_overrides(mapping: dict[str, str], overrides) -> dict[str, str]:
-    """Merge `KEY=VALUE` override strings into a parsed config mapping."""
-    merged = dict(mapping)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must look like KEY=VALUE, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"unknown override key '{key}'")
-        if not value:
-            raise ConfigError(f"empty override value for '{key}'")
-        merged[key] = value
-    return merged
 
 
 def format_value(value, none: str = "none") -> str:
@@ -315,7 +315,6 @@ def default_scenario(**changes) -> Scenario:
 
 __all__ = [
     "SPEED_OF_LIGHT_M_S", "ConfigError", "Scenario", "db",
-    "parse_config_text", "build_scenario", "load_scenario", "apply_overrides",
-    "default_scenario",
-    "KNOWN_KEYS", "KEY_RANGES", "INTEGER_KEYS", "range_error",
+    "parse_config_text", "build_scenario", "load_scenario", "default_scenario",
+    "KEY_RANGES", "INTEGER_KEYS", "range_error",
 ]

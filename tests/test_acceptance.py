@@ -43,7 +43,7 @@ def table_scenario():
 
 @pytest.fixture(scope="module")
 def trend_rows(table_scenario):
-    return sweep_rows(table_scenario, TREND_PC_GRID, list(YS_VALUES))
+    return list(sweep_rows(table_scenario, TREND_PC_GRID, list(YS_VALUES)))
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def tiny_solution():
 def test_criterion_1_autonomy_threshold(table_scenario):
     start = time.perf_counter()
     pc_grid = [float(v) for v in np.logspace(-8, -4, 30)]
-    rows = sweep_rows(table_scenario, pc_grid, [5.0])
+    rows = list(sweep_rows(table_scenario, pc_grid, [5.0]))
     elapsed = time.perf_counter() - start
     feasible_pc = [row.p_c_w for row in rows if row.feasible]
     assert feasible_pc, "no feasible chip power found at all"

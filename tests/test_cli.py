@@ -21,7 +21,7 @@ from risharvest.cli import (
     main,
     sweep_rows,
 )
-from risharvest.scenario import KNOWN_KEYS, MAX_INPUT_CHARS, load_scenario
+from risharvest.scenario import KEY_RANGES, MAX_INPUT_CHARS, load_scenario
 
 CSV_HEADER = "p_c_w,y_s_m,feasible,r1h_opt_m,a_opt,snr_opt_db,p_harv_w,p_ris_w"
 
@@ -256,16 +256,18 @@ def test_sweep_rows_build_no_per_element_arrays(monkeypatch, scenario):
             calls.append(name)
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    rows = sweep_rows(scenario, [1e-6, 1e-5, 1e-3], [5.0, 10.0])
+    rows = list(sweep_rows(scenario, [1e-6, 1e-5, 1e-3], [5.0, 10.0]))
     assert sum(row.feasible for row in rows) == 4
     assert calls == []
 
 
 def test_sweep_bad_pc_list(default_config_path, capsys, tmp_path):
-    # non-finite values would otherwise run as infeasible rows (exit 2)
+    # non-finite values would otherwise run as infeasible rows (exit 2), and
+    # an empty list is refused, not taken for the default grid
     out_csv = tmp_path / "x.csv"
     for pc_list, ys_list, flag in [("1e-6,abc", "5", "--pc-list"), ("nan", "5", "--pc-list"),
-                                   ("1e-6", "5,inf", "--ys-list"), (",", "5", "--pc-list")]:
+                                   ("1e-6", "5,inf", "--ys-list"), (",", "5", "--pc-list"),
+                                   ("", "5", "--pc-list"), ("1e-6", "", "--ys-list")]:
         code, out, err = run_cli(
             capsys, "sweep", "--config", str(default_config_path),
             "--pc-list", pc_list, "--ys-list", ys_list, "--out", str(out_csv),
@@ -496,7 +498,11 @@ BAD_SITES_FILES = {
     "": "defines no sites",
     "site.1.r1h_m = 1\nsite.1.lateral_offset_m = 5\nsite.1.ris_height_m = 12\n": "contiguous",
     "site.0.r1h_m = 1\nsite.0.lateral_offset_m = 5\n": "missing 'ris_height_m'",
-    "site.0.r1h_m = 1\nsite.0.r1h_m = 2\n": "duplicate sites key",
+    "site.0.r1h_m = 1\nsite.0.r1h_m = 2\n": "config error: line 2: duplicate key 'site.0.r1h_m'\n",
+    "site.0.r1h_m =\n": "config error: line 1: empty value for 'site.0.r1h_m'\n",
+    # one spelling per index, so a repeated field is always a repeated key
+    "site.00.r1h_m = 1\n": "config error: line 1: unknown sites key 'site.00.r1h_m'\n",
+    "site.\u0660.r1h_m = 1\n": "config error: line 1: unknown sites key 'site.\u0660.r1h_m'\n",
     "site.0.tilt_deg = 3\n": "unknown sites key",
     "just some text\n": "line 1",
     "site.0.r1h_m = nan\nsite.0.lateral_offset_m = 5\nsite.0.ris_height_m = 12\n": "must be finite",
@@ -702,7 +708,7 @@ def test_hostile_values_exit_cleanly(default_config_path, sites_config_path, cap
         return "\n".join(lines + [f"{key} = {token}"]) + "\n"
 
     cfg = tmp_path / "hostile.cfg"
-    for key in sorted(KNOWN_KEYS):
+    for key in sorted(KEY_RANGES):
         for token in HOSTILE_TOKENS:
             cfg.write_text(with_value(default_config_path, key, token))
             check("solve", "--config", str(cfg))
@@ -734,18 +740,25 @@ NO_OUTPUT_REFUSALS = [
     (["solve", "--out", "{tmp}/missing/curve.csv"], "config error: cannot write output file "),
     (["sweep", "--out", "{tmp}/missing/sweep.csv"], "config error: cannot write output file "),
     (["select-site", "--sites", "{tmp}/missing/sites.cfg"], "config error: cannot read sites file "),
-    (["solve", "--override", "p_chip_w="], "config error: empty override value for 'p_chip_w'"),
+    (["solve", "--override", "p_chip_w="], "config error: --override: empty value for 'p_chip_w'\n"),
+    (["solve", "--override", "p_chip_w"],
+     "config error: --override: expected 'key = value', got 'p_chip_w'\n"),
+    (["solve", "--override", "nope=1"], "config error: --override: unknown config key 'nope'\n"),
     # the bad value sorts last: it is refused before the first row is written
     (["sweep", "--pc-list", "1e-6,1e304", "--out", "{tmp}/sweep.csv"],
      "config error: p_chip_w = 1e+304 lies outside its range "),
     (["solve", "--override", "n_rectifiers=1.5"],
      "config error: value for 'n_rectifiers' must be an integer: '1.5'"),
+    (["sweep", "--pc-list", "1e-6,", "--out", "{tmp}/sweep.csv"],
+     "config error: --pc-list value is not a number: ''\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", NO_OUTPUT_REFUSALS,
                          ids=["solve_out", "sweep_out", "select_site_sites", "empty_override",
-                              "sweep_pc_out_of_range", "fractional_integer_key"])
+                              "override_without_equals", "unknown_override",
+                              "sweep_pc_out_of_range", "fractional_integer_key",
+                              "pc_list_trailing_comma"])
 def test_refusals_print_and_write_nothing(default_config_path, capsys, tmp_path, argv, message):
     # the refusal comes before any stdout line, and no file is left behind
     argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -16,11 +16,9 @@ from risharvest.optimizer import evaluate_placement, placement_objective, solve_
 from risharvest.scenario import (
     INTEGER_KEYS,
     KEY_RANGES,
-    KNOWN_KEYS,
     SPEED_OF_LIGHT_M_S,
     ConfigError,
     Scenario,
-    apply_overrides,
     build_scenario,
     db,
     default_scenario,
@@ -200,7 +198,7 @@ def test_unknown_key_rejected():
 
 
 def test_duplicate_key_rejected():
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ConfigError, match="^line 2: duplicate key 'transmit_power_w'$"):
         parse_config_text("transmit_power_w = 1\ntransmit_power_w = 2\n")
 
 
@@ -217,11 +215,20 @@ def test_malformed_line_reports_lineno():
         parse_config_text("# ok\nthis line has no equals sign\n")
 
 
+# key = value text -> the one refusal of it, the same for a config and a sites file
+BAD_KEY_VALUE_LINES = {
+    "a = 1\noops\n": "line 2: expected 'key = value', got 'oops'",
+    "a = 1\n b = # note\n": "line 2: empty value for 'b'",
+    "a = 1\nb = 2\na = 3\n": "line 3: duplicate key 'a'",
+}
+
+
 def test_key_value_lines_tokens():
     text = "# header\n\n a = 1 # note\nb=x = y\n"
-    assert list(key_value_lines(text)) == [(3, "a", "1"), (4, "b", "x = y")]
-    with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'oops'$"):
-        list(key_value_lines("a = 1\noops\n"))
+    assert list(key_value_lines(text)) == [("line 3", "a", "1"), ("line 4", "b", "x = y")]
+    for bad, message in BAD_KEY_VALUE_LINES.items():
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            list(key_value_lines(bad))
 
 
 def test_format_value_renders_each_type():
@@ -251,25 +258,23 @@ def test_comments_and_inline_comments(default_config_path, scenario):
     assert build_scenario(parse_config_text(text)) == scenario
 
 
-def _as_mapping(config_path):
-    return parse_config_text(config_path.read_text())
-
-
 def test_apply_overrides(default_config_path):
-    merged = apply_overrides(_as_mapping(default_config_path), ["lateral_offset_m=7.5", "p_chip_w=2e-6"])
-    built = build_scenario(merged)
-    assert built.lateral_offset_m == 7.5
+    # overrides apply after the file's lines, in order: the last one wins
+    text = default_config_path.read_text()
+    overrides = ["lateral_offset_m=7.5", "p_chip_w=2e-6", "lateral_offset_m = 8.5"]
+    built = build_scenario(parse_config_text(text, overrides))
+    assert built.lateral_offset_m == 8.5
     assert built.chip_power_w == 2e-6
 
 
 def test_override_unknown_key_rejected(default_config_path):
-    with pytest.raises(ConfigError):
-        apply_overrides(_as_mapping(default_config_path), ["nope=1"])
+    with pytest.raises(ConfigError, match="^--override: unknown config key 'nope'$"):
+        parse_config_text(default_config_path.read_text(), ["nope=1"])
 
 
 def test_override_missing_equals(default_config_path):
-    with pytest.raises(ConfigError):
-        apply_overrides(_as_mapping(default_config_path), ["lateral_offset_m"])
+    with pytest.raises(ConfigError, match="^--override: expected 'key = value', got 'lateral_offset_m'$"):
+        parse_config_text(default_config_path.read_text(), ["lateral_offset_m"])
 
 
 finite_pos = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
@@ -292,7 +297,7 @@ def test_roundtrip_property(default_config_path, y_s, p_t, eps, rows):
     )
     overrides = [f"lateral_offset_m={format_value(y_s)}", f"transmit_power_w={format_value(p_t)}",
                  f"conversion_efficiency={format_value(eps)}", f"ris_rows={format_value(rows)}"]
-    assert build_scenario(apply_overrides(_as_mapping(default_config_path), overrides)) == sc
+    assert build_scenario(parse_config_text(default_config_path.read_text(), overrides)) == sc
 
 
 # ----------------------------------------------------------------- scenario
@@ -345,7 +350,8 @@ def _with_values(**values):
 
 @pytest.mark.filterwarnings("ignore:.*below 10 wavelengths:UserWarning")
 def test_every_key_has_a_closed_range():
-    assert set(KEY_RANGES) == KNOWN_KEYS
+    # every field is a config key, in field order
+    assert list(parse_config_text("", [f"{f.name}=1" for f in fields(Scenario)])) == list(KEY_RANGES)
     for key, (lo, hi) in KEY_RANGES.items():
         for value in (lo, hi):
             assert getattr(_with_values(**{key: value}), key) == value
