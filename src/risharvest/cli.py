@@ -13,6 +13,7 @@ import csv
 import math
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -88,7 +89,7 @@ def cmd_solve(args) -> int:
     if solution.feasible:
         print(f"r1h_opt_m = {_fmt(solution.r1h_opt_m)}")
         print(f"a_opt = {_fmt(solution.a_opt)}")
-        print(f"a_boundary = {_fmt(solution.a_boundary)}")
+        print(f"a_boundary = {_fmt(solution.a_opt == 1.0)}")
         print(f"snr_opt_linear = {_fmt(solution.snr_opt_linear)}")
         print(f"snr_opt_db = {_fmt(solution.snr_opt_db)}")
         print(f"p_harv_w = {_fmt(solution.p_harv_w)}")
@@ -161,7 +162,10 @@ def cmd_validate(args) -> int:
                           f"{_fmt(R1H_TOLERANCE_M)} m placement tolerance")
     scenario = load_scenario(args.config, args.override)
     analytic = optimizer.solve_placement(scenario)
-    lattice = oracle.brute_force_solve(scenario, r1h_step, a_step)
+    try:
+        lattice = oracle.brute_force_solve(scenario, r1h_step, a_step)
+    except ValueError as exc:  # the oracle's step and size guards
+        raise ConfigError(f"--r1h-step {_fmt(r1h_step)} and --a-step {_fmt(a_step)}: {exc}") from None
     if analytic.feasible and lattice.a == 0.0:  # A* below about a_step/2: a lattice SNR of 0
         raise ConfigError(f"--a-step {_fmt(a_step)} cannot resolve the optimal amplitude "
                           f"A* = {_fmt(analytic.a_opt)}: every feasible lattice column picks A = 0")
@@ -329,14 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        # a warning the filters let through, once per message by default, is one line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (ValueError, OverflowError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -44,14 +44,13 @@ class PlacementSolution:
     """Result of a placement evaluation or search.
 
     When infeasible (the harvest ceiling does not exceed the consumption
-    anywhere in the searched range), all optimum fields stay None. a_boundary
-    marks the one degenerate endpoint, a_opt = 1 at zero consumption.
+    anywhere in the searched range), all optimum fields stay None. a_opt = 1
+    marks the one degenerate endpoint, zero consumption.
     """
 
     feasible: bool
     r1h_opt_m: float | None = None
     a_opt: float | None = None
-    a_boundary: bool = False
     snr_opt_linear: float | None = None
     snr_opt_db: float | None = None
     p_harv_w: float | None = None
@@ -68,31 +67,25 @@ def optimal_phases(r1h_m: float, scenario: Scenario) -> np.ndarray:
     return -link.path_phase_rad(r1h_m, scenario)
 
 
-def _objective_factors(r1h_m, scenario: Scenario):
-    """The reduced objective's first-hop and second-hop factors,
-    y_s/r1^3 * (1 - P_ris / ceiling) and y_s/(r2^3 sigma^2), from one
-    center_distances call, with P_ris = scenario.p_ris_w. The first falls as
-    r1h grows and the second rises on [0, r_h], so on any cell [u, v] the
-    objective is at most first(u) * second(v)."""
+def placement_objective(r1h_m, scenario: Scenario):
+    """Reduced placement objective after phases and amplitude are eliminated,
+    as its first-hop and second-hop factors from one center_distances call.
+
+    G(r1h) = first * second
+           = y_s/r1^3 * (1 - P_ris / ceiling) * y_s/(r2^3 sigma^2)
+           = cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2) * (1 - P_ris / ceiling),
+    with cos(th) = y_s/r, P_ris = scenario.p_ris_w and the ceiling of
+    link.harvest_ceiling; one factor per hop, so (r1 r2)^3 never overflows on
+    long spans. The first falls as r1h grows and the second rises on [0, r_h],
+    so on any cell [u, v] G is at most first(u) * second(v). G is negative
+    where the placement is infeasible; the search never selects those values.
+    Returns two arrays of r1h's shape, 0-d for a scalar r1h. The optimal SNR
+    is 16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
+    """
     r1, r2 = geometry.center_distances(r1h_m, scenario)
     ys = scenario.lateral_offset_m
     first = (ys / r1) / r1 ** 2 * (1.0 - scenario.p_ris_w / link.harvest_ceiling(r1, scenario))
     return first, (ys / r2) / (r2 ** 2 * scenario.noise_w)
-
-
-def placement_objective(r1h_m, scenario: Scenario):
-    """Reduced placement objective after phases and amplitude are eliminated.
-
-    G(r1h) = cos(th_i) cos(th_r) / (r1^2 r2^2 sigma^2) * (1 - P_ris / ceiling)
-           = y_s^2 / (sigma^2 (r1 r2)^3) * (1 - P_ris / ceiling),
-    with cos(th) = y_s/r, P_ris = scenario.p_ris_w and the ceiling of
-    link.harvest_ceiling, formed as one factor per hop, so (r1 r2)^3 never
-    overflows on long spans. Negative where the placement is infeasible; the
-    search never selects those values. Returns an array of r1h's shape, 0-d
-    for a scalar r1h. The optimal SNR is 16 P_t G_t G_r (lambda/4pi)^4 M_s^2 * G(r1h).
-    """
-    first, second = _objective_factors(r1h_m, scenario)
-    return first * second
 
 
 def evaluate_placement(scenario: Scenario, r1h_m: float) -> PlacementSolution:
@@ -113,15 +106,13 @@ def evaluate_placement(scenario: Scenario, r1h_m: float) -> PlacementSolution:
     if not p_ris < ceiling:
         return PlacementSolution(feasible=False)
     a = math.sqrt(1.0 - p_ris / ceiling)
-    boundary = p_ris == 0.0
-    if not boundary:
+    if p_ris > 0.0:
         a = min(a, 1.0 - _EPS_A)
     snr = float(link.snr_cophased(r1h_m, a, scenario))
     return PlacementSolution(
         feasible=True,
         r1h_opt_m=float(r1h_m),
         a_opt=a,
-        a_boundary=boundary,
         snr_opt_linear=snr,
         snr_opt_db=db(snr),
         p_harv_w=float(ceiling * (1.0 - a * a)),
@@ -153,7 +144,7 @@ def solve_placement(scenario: Scenario) -> PlacementSolution:
     while True:
         width /= _SPLIT
         edges = lefts[:, None] + width * np.arange(_SPLIT + 1)
-        first, second = _objective_factors(edges, scenario)
+        first, second = placement_objective(edges, scenario)
         values = first * second
         if curve is None:
             feasible = values[0] > 0.0

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from risharvest.optimizer import placement_objective
 from risharvest.scenario import default_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -12,6 +13,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # `pytest --hypothesis-profile=ci`: the same examples on every run, and a
 # failure prints the blob that replays it with @reproduce_failure
 settings.register_profile("ci", derandomize=True, print_blob=True)
+
+
+def objective(r1h_m, scenario):
+    """The reduced placement objective G = first * second."""
+    first, second = placement_objective(r1h_m, scenario)
+    return first * second
 
 
 @pytest.fixture(scope="session")

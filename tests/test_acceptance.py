@@ -14,9 +14,11 @@ import pytest
 from risharvest.cli import EXIT_OK, main, sweep_rows
 from risharvest.geometry import center_distances
 from risharvest.link import ReflectionState, harvest_ceiling, snr_cophased, snr_explicit
-from risharvest.optimizer import optimal_phases, placement_objective, solve_placement
+from risharvest.optimizer import optimal_phases, solve_placement
 from risharvest.oracle import exhaustive_phase_search
 from risharvest.scenario import default_scenario
+
+from conftest import objective
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
 
@@ -142,7 +144,7 @@ def test_criterion_3_cophasing_identity(table_scenario):
             sc = with_chip_power(default_scenario(lateral_offset_m=y_s), p_c)
             sol = solve_placement(sc)
             assert sol.feasible
-            g = float(placement_objective(sol.r1h_opt_m, sc))
+            g = float(objective(sol.r1h_opt_m, sc))
             assert sol.snr_opt_linear == pytest.approx(scale * g, rel=1e-9)
     print(
         f"PASS criterion 3: co-phasing identity within 1e-9 at 100 random "

@@ -2,15 +2,18 @@
 
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import pytest
 
 import risharvest
-from risharvest import cli, geometry, link
+from risharvest import cli, geometry, link, oracle
 from risharvest.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -122,6 +125,24 @@ def test_solve_objective_curve(default_config_path, capsys, tmp_path):
     )
     assert code == EXIT_INFEASIBLE
     assert out_csv.read_text() == "r1h_m,objective\n"
+
+
+def test_small_dish_warning_is_one_line(default_config_path, capsys, tmp_path):
+    # a library warning reaches stderr as one line without a source location,
+    # once although every sweep row builds a Scenario; stdout and the exit code
+    # are those of the same run unwarned
+    small = ("--override", "tx_diameter_m=0.01")
+    warning = ("warning: tx_diameter_m is below 10 wavelengths; the parabolic gain "
+               "formula assumes an electrically large dish\n")
+    solve = ("solve", "--config", str(default_config_path), *small)
+    sweep = ("sweep", "--config", str(default_config_path), "--pc-list", "1e-9,1e-8",
+             "--ys-list", "5,10", "--out", str(tmp_path / "x.csv"), *small)
+    for argv in (solve, sweep):
+        code, out, err = run_cli(capsys, *argv)
+        assert err == warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert run_cli(capsys, *argv) == (code, out, "")
 
 
 def test_solve_missing_config(capsys, tmp_path):
@@ -406,9 +427,48 @@ def test_validate_placement_delta_fails_classified(default_config_path, capsys):
     assert err == "FAIL: placement delta exceeds tolerance\n"
 
 
-# validate flag and value -> the start of the one stderr line that refuses it
+def lattice_snr_0_2_db_high(*args, real=oracle.brute_force_solve):
+    # the real lattice optimum with its SNR raised by 0.2 dB
+    result = real(*args)
+    return replace(result, snr_linear=result.snr_linear * 10.0 ** 0.02)
+
+
+def phase_search_below_floor(small, r1h_m, phase_levels, uniform_a):
+    # a best quantized SNR 1 % under the cos^2(pi / levels) floor
+    floor = math.cos(math.pi / phase_levels) ** 2
+    return None, 0.99 * floor * float(link.snr_cophased(r1h_m, uniform_a, small))
+
+
+# a broken oracle function and the one FAIL line that validate prints for it
+BROKEN_ORACLES = {
+    "infeasible_lattice": ("brute_force_solve", lambda *args: oracle.OracleResult(feasible=False),
+                           "feasibility disagreement"),
+    "snr_off_0.2_db": ("brute_force_solve", lattice_snr_0_2_db_high, "SNR delta exceeds tolerance"),
+    "phase_below_floor": ("exhaustive_phase_search", phase_search_below_floor,
+                          "quantized-phase check outside bounds"),
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN_ORACLES))
+def test_validate_fails_on_a_broken_oracle(default_config_path, capsys, monkeypatch, name):
+    target, broken, failure = BROKEN_ORACLES[name]
+    monkeypatch.setattr(oracle, target, broken)
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path))
+    assert code == EXIT_VALIDATION
+    assert parse_kv(out)["verdict"] == "fail"
+    assert err == f"FAIL: {failure}\n"
+
+
+# validate flag and value -> the one stderr line that refuses it
 LATTICE_REFUSALS = {
-    ("--a-step", "1e-12"): "error: lattice", ("--r1h-step", "1e-9"): "error: lattice",
+    ("--a-step", "1e-12"): "config error: --r1h-step 0.5 and --a-step 1e-12: "
+                           "lattice of 2.01e+14 points exceeds the guard of 1e+07\n",
+    ("--r1h-step", "1e-9"): "config error: --r1h-step 1e-09 and --a-step 0.001: "
+                            "lattice of 1e+14 points exceeds the guard of 1e+07\n",
+    ("--r1h-step", "0"): "config error: --r1h-step 0.0 and --a-step 0.001: "
+                         "lattice steps must be positive and finite\n",
+    ("--a-step", "-1"): "config error: --r1h-step 0.5 and --a-step -1.0: "
+                        "lattice steps must be positive and finite\n",
     ("--a-step", "nan"): "config error: --a-step must be finite: 'nan'\n",
     ("--r1h-step", "inf"): "config error: --r1h-step must be finite: 'inf'\n",
     ("--r1h-step", "abc"): "config error: --r1h-step is not a number: 'abc'\n",
@@ -420,7 +480,7 @@ def test_validate_unbounded_lattice_rejected(default_config_path, capsys, flag, 
     # every value here is refused before the lattice is allocated
     code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), flag, value)
     assert (code, out) == (EXIT_CONFIG, "")
-    assert err.startswith(LATTICE_REFUSALS[flag, value]) and err.count("\n") == 1
+    assert err == LATTICE_REFUSALS[flag, value]
 
 
 @pytest.mark.parametrize("value", ["0.67", "0.7", "3"])
@@ -430,7 +490,8 @@ def test_validate_coarse_a_step_refused(default_config_path, capsys, value):
                              "--a-step", value)
     assert code == EXIT_CONFIG
     assert out == ""
-    assert err == f"error: a_step {float(value)!r} leaves fewer than two amplitudes in [0, 1)\n"
+    assert err == (f"config error: --r1h-step 0.5 and --a-step {float(value)!r}: "
+                   f"a_step {float(value)!r} leaves fewer than two amplitudes in [0, 1)\n")
 
 
 def test_exact_ceiling_is_not_self_powered(default_config_path, capsys, tmp_path):

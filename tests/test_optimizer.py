@@ -25,6 +25,8 @@ from risharvest.optimizer import (
 from risharvest.oracle import brute_force_solve
 from risharvest.scenario import ConfigError, default_scenario
 
+from conftest import objective
+
 
 def with_chip_power(scenario, p_chip_w):
     return replace(scenario, n_rectifiers=100, p_rectifier_w=0.0, p_chip_w=p_chip_w)
@@ -122,7 +124,7 @@ def test_amplitude_clamped_when_radicand_rounds_to_one(scenario):
     ceiling = harvest_ceiling(10.0, scenario)
     drawn = with_draw(scenario, 1e-17 * ceiling)
     sol = evaluate_placement(drawn, 10.0)
-    assert sol.feasible and not sol.a_boundary
+    assert sol.feasible and sol.a_opt != 1.0
     assert sol.a_opt == 1.0 - 1e-9
     assert sol.p_harv_w >= drawn.p_ris_w > 0.0
 
@@ -140,7 +142,7 @@ def test_objective_reduces_to_pure_snr_shape(scenario):
     th_r = np.arctan(np.sqrt((scenario.txrx_horizontal_m - r) ** 2
                              + (scenario.ris_height_m - scenario.rx_height_m) ** 2) / ys)
     pure = np.cos(th_i) * np.cos(th_r) / (r1**2 * r2**2 * scenario.noise_w)
-    got = placement_objective(r, with_draw(scenario, 0.0))
+    got = objective(r, with_draw(scenario, 0.0))
     assert got == pytest.approx(pure, rel=1e-12)
 
 
@@ -158,20 +160,20 @@ def test_objective_snr_identity(scenario):
     for r1h in (0.5, 1.0, 5.0, 20.0, 30.0):
         sol = evaluate_placement(scenario, r1h)
         assert sol.feasible
-        g = float(placement_objective(r1h, scenario))
+        g = float(objective(r1h, scenario))
         assert sol.snr_opt_linear == pytest.approx(scale * g, rel=1e-9)
 
 
 def test_objective_negative_when_infeasible(scenario):
     ceiling = harvest_ceiling(50.0, scenario)
-    assert placement_objective(50.0, with_draw(scenario, 2 * ceiling)) < 0
+    assert objective(50.0, with_draw(scenario, 2 * ceiling)) < 0
 
 
 def test_objective_continuity(scenario):
     jumps = []
     for step in (0.4, 0.2, 0.1):
         r = np.arange(0.0, 100.0 + step / 2, step)
-        g = placement_objective(r, scenario)
+        g = objective(r, scenario)
         jumps.append(np.abs(np.diff(g)).max())
     assert jumps[1] < jumps[0] and jumps[2] < jumps[1]
 
@@ -215,7 +217,7 @@ def test_evaluate_placement_feasible(scenario):
     sol = evaluate_placement(scenario, 10.0)
     assert sol.feasible
     assert sol.r1h_opt_m == 10.0
-    assert not sol.a_boundary
+    assert sol.a_opt != 1.0
     assert sol.p_harv_w == pytest.approx(scenario.p_ris_w, rel=1e-9)
     state = ReflectionState(
         amplitudes=np.full((50, 50), sol.a_opt), phases=optimal_phases(10.0, scenario)
@@ -234,7 +236,7 @@ def test_evaluate_placement_infeasible(scenario):
 
 def test_evaluate_placement_zero_consumption_boundary(scenario):
     sol = evaluate_placement(with_draw(scenario, 0.0), 10.0)
-    assert sol.feasible and sol.a_opt == 1.0 and sol.a_boundary
+    assert sol.feasible and sol.a_opt == 1.0
     assert sol.p_harv_w == 0.0
 
 
@@ -244,7 +246,7 @@ def test_evaluate_placement_ceiling_boundary(scenario):
     ceiling = harvest_ceiling(10.0, scenario)
     assert not evaluate_placement(with_draw(scenario, ceiling), 10.0).feasible
     sol = evaluate_placement(with_draw(scenario, float(np.nextafter(ceiling, 0.0))), 10.0)
-    assert sol.feasible and not sol.a_boundary
+    assert sol.feasible and sol.a_opt != 1.0
     assert sol.a_opt > 1.05e-8
     assert sol.snr_opt_linear > 0.0 and sol.snr_opt_db > float("-inf")
 
@@ -287,7 +289,7 @@ def test_solve_placement_infeasible(scenario):
 
 def test_solve_placement_zero_draw_boundary(scenario):
     sol = solve_placement(with_chip_power(scenario, 0.0))
-    assert sol.feasible and sol.a_opt == 1.0 and sol.a_boundary
+    assert sol.feasible and sol.a_opt == 1.0
     assert sol.r1h_opt_m == pytest.approx(1.071480884916273, abs=1e-6)
 
 
@@ -295,7 +297,7 @@ def test_refinement_beats_coarse_grid(scenario):
     sol = solve_placement(scenario)
     curve = sol.objective_curve
     feasible_best = curve[:, 1].max()
-    refined = float(placement_objective(sol.r1h_opt_m, scenario))
+    refined = float(objective(sol.r1h_opt_m, scenario))
     assert refined >= feasible_best * (1 - 1e-12)
 
 
@@ -310,24 +312,24 @@ def test_near_1nw_tracks_pure_snr_optimum(scenario):
     assert min(abs(sol.r1h_opt_m - pure.r1h_m), abs(sol.r1h_opt_m - mirrored)) <= 0.01
 
 
-def count_factor_calls(monkeypatch):
-    # the search scores placements only through the objective's two factors
+def count_objective_calls(monkeypatch):
+    # the search scores placements only through placement_objective
     calls = {"array": 0, "scalar": 0, "points": 0}
-    fn = optimizer_module._objective_factors
+    fn = optimizer_module.placement_objective
 
     def counted(r1h_m, *args):
         calls["array" if np.ndim(r1h_m) else "scalar"] += 1
         calls["points"] += np.size(r1h_m)
         return fn(r1h_m, *args)
 
-    monkeypatch.setattr(optimizer_module, "_objective_factors", counted)
+    monkeypatch.setattr(optimizer_module, "placement_objective", counted)
     return calls
 
 
 def test_feasible_solve_objective_calls(monkeypatch, scenario):
     # one array call per round, each round cutting the cells _SPLIT times
     # finer from [0, r_h] down to _STOP_M; no placement is ever scored alone
-    calls = count_factor_calls(monkeypatch)
+    calls = count_objective_calls(monkeypatch)
     assert solve_placement(scenario).feasible
     rounds = math.ceil(math.log(scenario.txrx_horizontal_m / optimizer_module._STOP_M)
                        / math.log(optimizer_module._SPLIT))
@@ -343,7 +345,7 @@ def test_range_corners_solve_in_bounded_points(monkeypatch, scenario):
     # at zero, half and nearly all of the autonomy threshold: every scene
     # Scenario accepts solves, the number of points does not grow with the
     # span, and r_h = 1e9 m takes at most twice the rounds of r_h = 100 m
-    calls = count_factor_calls(monkeypatch)
+    calls = count_objective_calls(monkeypatch)
     solve_placement(scenario)
     rounds_100m = calls["array"]
     solved, most_points, most_rounds_1e9 = 0, 0, 0
@@ -434,7 +436,7 @@ def scan_maximum(scenario, points=200_001):
     # the objective's maximum over [0, r_h]: a uniform scan, then two rescans
     # of 2,001 points across each of its three highest local maxima
     r = np.linspace(0.0, scenario.txrx_horizontal_m, points)
-    g = placement_objective(r, scenario)
+    g = objective(r, scenario)
     padded = np.concatenate(([-np.inf], g, [-np.inf]))
     peaks = np.flatnonzero((g >= padded[:-2]) & (g >= padded[2:]))
     best = -np.inf
@@ -442,7 +444,7 @@ def scan_maximum(scenario, points=200_001):
         lo, hi = r[max(k - 1, 0)], r[min(k + 1, points - 1)]
         for _ in range(2):
             x = np.linspace(lo, hi, 2001)
-            gx = placement_objective(x, scenario)
+            gx = objective(x, scenario)
             j = int(np.argmax(gx))
             lo, hi = x[max(j - 1, 0)], x[min(j + 1, x.size - 1)]
         best = max(best, float(gx.max()))
@@ -463,7 +465,7 @@ def test_near_mirror_scenes_find_the_higher_lobe(geometry, epsilon, share):
     sc = with_chip_power(sc, float(share * harvest_ceiling(0.0, sc) / sc.m_s))
     sol = solve_placement(sc)
     assert sol.feasible
-    got = float(placement_objective(sol.r1h_opt_m, sc))
+    got = float(objective(sol.r1h_opt_m, sc))
     assert got >= (1.0 - 1e-12) * scan_maximum(sc)
 
 
@@ -504,7 +506,7 @@ def test_objective_angle_free_identity(geometry, radio, p_chip_w, fraction):
          * sc.transmit_power_w * sc.tx_gain * 4)
     lead = ys**2 / (sc.noise_w * r2**3)
     expected = lead * (r1**-3 - sc.p_ris_w / (c * ys))
-    got = float(placement_objective(r1h, sc))
+    got = float(objective(r1h, sc))
     # relative to the larger term: the two cancel where r1h meets r1h_f
     assert abs(got - expected) <= 1e-12 * lead * max(r1**-3, sc.p_ris_w / (c * ys))
 
@@ -527,7 +529,7 @@ def test_evaluate_placement_harvest_is_element_sum(geometry, rows, cols, fractio
         assert not sol.feasible
         return
     assert sol.feasible
-    assert sol.a_boundary or share != 0.0
+    assert sol.a_opt == 1.0 or share != 0.0
     summed = element_sum_harvest(r1h, sol.a_opt, sc)
     assert sol.p_harv_w == pytest.approx(summed, rel=1e-14, abs=0.0)
 
@@ -552,7 +554,7 @@ def assert_same_placement(base, moved, scenario):
     # at y_s = 38 m), so both placements must score the same objective
     assert moved.feasible == base.feasible
     if base.feasible:
-        g = placement_objective(np.array([base.r1h_opt_m, moved.r1h_opt_m]), scenario)
+        g = objective(np.array([base.r1h_opt_m, moved.r1h_opt_m]), scenario)
         assert g[1] == pytest.approx(g[0], rel=1e-12)
         assert moved.r1h_opt_m == pytest.approx(base.r1h_opt_m, abs=1e-4)
         assert moved.a_opt == pytest.approx(base.a_opt, rel=1e-6)
@@ -591,8 +593,8 @@ def test_zero_draw_objective_mirror_symmetry(geometry, fraction):
     sc = with_chip_power(default_scenario(**geometry), 0.0)
     r_h = sc.txrx_horizontal_m
     r = fraction * r_h
-    g = placement_objective(r, sc)
-    assert placement_objective(r_h - r, sc) == pytest.approx(g, rel=1e-12)
+    g = objective(r, sc)
+    assert objective(r_h - r, sc) == pytest.approx(g, rel=1e-12)
 
 
 # ------------------------------------------------------------- site selection

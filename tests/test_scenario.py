@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from risharvest.geometry import center_distances
 from risharvest.link import harvest_ceiling, incident_power, snr_cophased
-from risharvest.optimizer import evaluate_placement, placement_objective, solve_placement
+from risharvest.optimizer import evaluate_placement, solve_placement
 from risharvest.scenario import (
     INTEGER_KEYS,
     KEY_RANGES,
@@ -28,6 +28,8 @@ from risharvest.scenario import (
     parse_config_text,
     parse_number,
 )
+
+from conftest import objective
 
 
 # ---------------------------------------------------------------- conversions
@@ -418,7 +420,7 @@ def test_range_box_stays_in_the_normal_floats(values, site_r1h_m):
     placements = [site_r1h_m]
     sol = solve_placement(sc)
     if sol.feasible:
-        assert placement_objective(0.0, sc) > 0.0
+        assert objective(0.0, sc) > 0.0
         placements.append(sol.r1h_opt_m)
     for r1h in placements:
         if not evaluate_placement(sc, r1h).feasible:
