@@ -63,9 +63,8 @@ def path_phase_rad(r1h_m: float, scenario: Scenario):
 def incident_power(r1, scenario: Scenario):
     """Power impinging on one element, (lambda/4pi)^2 P_t G_t 4 cos(th_i) / r1^2
     with cos(th_i) = y_s/r1, elementwise over the center distances r1."""
-    lam = scenario.wavelength_m
-    return ((lam / (4.0 * math.pi)) ** 2 * scenario.transmit_power_w * scenario.tx_gain
-            * 4.0 * (scenario.lateral_offset_m / r1) / r1 ** 2)
+    return ((scenario.wavelength_m / (4.0 * math.pi)) ** 2 * scenario.transmit_power_w
+            * scenario.tx_gain * 4.0 * (scenario.lateral_offset_m / r1) / r1 ** 2)
 
 
 def harvest_ceiling(r1, scenario: Scenario):
@@ -79,9 +78,8 @@ def _snr_constant(r1h_m: float, scenario: Scenario) -> float:
     """Per-element incident power times the second hop's
     G_r (lambda/4pi)^2 4 cos(th_r) / r2^2 over the noise power, with
     cos(th_r) = y_s/r2."""
-    lam = scenario.wavelength_m
     r1, r2 = geometry.center_distances(r1h_m, scenario)
-    hop2_gain = ((lam / (4.0 * math.pi)) ** 2 * scenario.rx_gain * 4.0
+    hop2_gain = ((scenario.wavelength_m / (4.0 * math.pi)) ** 2 * scenario.rx_gain * 4.0
                  * (scenario.lateral_offset_m / r2))
     return incident_power(r1, scenario) * (hop2_gain / r2 ** 2) / scenario.noise_w
 
@@ -121,8 +119,7 @@ def snr_cophased(r1h_m, uniform_a: float, scenario: Scenario):
     """
     if not 0.0 <= uniform_a <= 1.0:
         raise ValueError("uniform_a must lie in [0, 1]")
-    m_s = float(scenario.m_s)
-    return _snr_constant(r1h_m, scenario) * m_s * m_s * (uniform_a * uniform_a)
+    return _snr_constant(r1h_m, scenario) * scenario.m_s * scenario.m_s * (uniform_a * uniform_a)
 
 
 __all__ = ["ReflectionState", "path_phase_rad", "snr_explicit", "snr_cophased"]

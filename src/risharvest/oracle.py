@@ -23,13 +23,14 @@ _MAX_PROFILES = 10 ** 8
 _CHUNK_PROFILES = 4096
 # size guard for the (r1h, A) lattice of brute_force_solve
 _MAX_LATTICE_POINTS = 10 ** 7
-# lattice points per block of the amplitude pick; bounds the solver's memory
+# lattice points per block of the amplitude pick; bounds the pick's memory,
+# while each kept column keeps four floats
 _CHUNK_LATTICE_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best lattice point found by brute_force_solve at the caller's steps."""
+    """Best lattice point and lobes found by brute_force_solve at the caller's steps."""
 
     feasible: bool
     r1h_m: float | None = None
@@ -39,6 +40,8 @@ class OracleResult:
     # first-order bound on how much the amplitude lattice can inflate SNR
     # beyond the exact-constraint value (a_step * dSNR/dA at the kept point)
     snr_slack_linear: float | None = None
+    # (r1h, SNR) of each kept column that no neighbouring column exceeds, in r1h order
+    lobes: tuple[tuple[float, float], ...] = ()
 
 
 def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float = 0.001) -> OracleResult:
@@ -51,8 +54,10 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
     times (1 - a^2); a column is kept only when its ceiling exceeds the
     consumption, the analytic solver's autonomy test, and keeps the lattice
     amplitude whose harvest lands nearest it; one link.snr_cophased call at
-    A = 1, times a^2, scores a block, and the kept point with maximal SNR
-    wins; ties go to the lowest r1h. Steps must be positive and finite; a
+    A = 1, times a^2, scores a block. The ceiling falls with r1h, so the kept
+    columns run from r1h = 0, and their scores form one array: its first
+    maximum wins, so ties go to the lowest r1h, and its local maxima are the
+    lobes. Steps must be positive and finite; a
     lattice above _MAX_LATTICE_POINTS points or with fewer than two
     amplitudes is refused before anything is allocated.
     """
@@ -69,7 +74,7 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
     a_grid = a_step * np.arange(n_amplitudes)  # [0, 1)
     block = max(1, _CHUNK_LATTICE_POINTS // n_amplitudes)
 
-    best = None
+    blocks = []
     for start in range(0, n_columns, block):
         r_grid = r1h_step_m * np.arange(start, min(start + block, n_columns))
         r1, _ = geometry.center_distances(r_grid, scenario)
@@ -81,21 +86,22 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
         picks = np.argmin(np.abs(p_harv - p_ris), axis=1)
         a = a_grid[picks]
         snr = link.snr_cophased(r_grid[keep], 1.0, scenario) * (a * a)
-        k = int(np.argmax(snr))
-        if best is None or snr[k] > best[2]:
-            best = (float(r_grid[keep][k]), float(a[k]), float(snr[k]), float(p_harv[k, picks[k]]))
+        blocks.append((r_grid[keep], a, snr, p_harv[np.arange(picks.size), picks]))
 
-    if best is None:
+    if not blocks:
         return OracleResult(feasible=False)
-    r, a, snr, p_harv = best
-    slack = 2.0 * snr * a_step / max(a, a_step)
+    r, a, snr, p_harv = (np.concatenate(column) for column in zip(*blocks))
+    k = int(np.argmax(snr))
+    padded = np.concatenate(([-np.inf], snr, [-np.inf]))
+    lobes = np.flatnonzero((snr >= padded[:-2]) & (snr >= padded[2:]))
     return OracleResult(
         feasible=True,
-        r1h_m=r,
-        a=a,
-        snr_linear=snr,
-        p_harv_w=p_harv,
-        snr_slack_linear=slack,
+        r1h_m=float(r[k]),
+        a=float(a[k]),
+        snr_linear=float(snr[k]),
+        p_harv_w=float(p_harv[k]),
+        snr_slack_linear=2.0 * float(snr[k]) * a_step / max(float(a[k]), a_step),
+        lobes=tuple((float(r[j]), float(snr[j])) for j in lobes),
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property
 from itertools import chain
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -121,40 +122,41 @@ class Scenario:
                     stacklevel=2,
                 )
 
-    @property
+    # derived once per instance; dataclasses.replace builds one with an empty cache
+    @cached_property
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT_M_S / self.carrier_frequency_hz
 
-    @property
+    @cached_property
     def m_s(self) -> int:
         """Number of reflective elements."""
         return self.ris_rows * self.ris_cols
 
-    @property
+    @cached_property
     def tx_gain(self) -> float:
         """Peak gain of the parabolic TX dish, e * (pi * D / lambda)^2 (valid
         for D >> lambda, hence the warning below 10 wavelengths)."""
         return self.tx_efficiency * (math.pi * self.tx_diameter_m / self.wavelength_m) ** 2
 
-    @property
+    @cached_property
     def rx_gain(self) -> float:
         return self.rx_efficiency * (math.pi * self.rx_diameter_m / self.wavelength_m) ** 2
 
-    @property
+    @cached_property
     def noise_w(self) -> float:
         """Thermal noise power in watts, from the dBm form -174 + 10*log10(W)
         + F_dB (thermal floor at 290 K plus receiver noise figure)."""
         sigma2_dbm = -174.0 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
         return 10.0 ** ((sigma2_dbm - 30.0) / 10.0)
 
-    @property
+    @cached_property
     def chip_power_w(self) -> float:
         """Effective per-element chip consumption."""
         if self.p_chip_w is not None:
             return self.p_chip_w
         return self.p_static_w + self.reconfig_fraction * self.p_dynamic_w
 
-    @property
+    @cached_property
     def p_ris_w(self) -> float:
         """Total consumption the surface must harvest: one chip per element
         plus the rectifiers."""

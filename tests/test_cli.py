@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 import risharvest
-from risharvest import cli, geometry, link, oracle
+from risharvest import cli, geometry, link, optimizer, oracle
 from risharvest.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -411,20 +411,72 @@ def test_validate_shrink_never_exceeds_surface(default_config_path, capsys, over
     assert float(kv["phase_check_ratio"]) == pytest.approx(ratio, rel=1e-9)
 
 
+NEAR_MIRROR = ("rx_height_m=3.0001", "p_chip_w=0", "txrx_horizontal_m=37.3")
+
+
 def test_validate_placement_delta_fails_classified(default_config_path, capsys):
     # a near-mirror scene at zero draw: the analytic search takes the lobe
     # near the RX and the 0.5 m lattice the one near the TX, whose SNRs agree
-    # within 0.01 dB
-    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path),
-                             "--override", "rx_height_m=3.0001", "--override", "p_chip_w=0",
-                             "--override", "txrx_horizontal_m=37.3")
-    assert code == EXIT_VALIDATION
+    # within 0.01 dB. The RX-side lattice lobe at 34.0 m is within 0.1 dB of
+    # the best, so the placement is measured to it and passes
+    argv = [arg for value in NEAR_MIRROR for arg in ("--override", value)]
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), *argv)
+    assert (code, err) == (EXIT_OK, "")
     kv = parse_kv(out)
     assert float(kv["analytic_r1h_opt_m"]) == pytest.approx(34.2007, abs=1e-4)
     assert kv["oracle_r1h_m"] == "3.0"
+    assert float(kv["delta_r1h_m"]) == pytest.approx(0.2007, abs=1e-4)
     assert float(kv["delta_snr_db"]) <= 0.01
+    assert kv["verdict"] == "pass"
+    lobes = oracle.brute_force_solve(load_scenario(default_config_path, NEAR_MIRROR)).lobes
+    assert [(r, round(10 * math.log10(snr), 4)) for r, snr in lobes] == [(3.0, 69.3336),
+                                                                        (34.0, 69.3324)]
+
+
+def test_validate_solution_on_a_lower_lobe_fails(default_config_path, capsys, monkeypatch):
+    # RX 0.5 m above the TX: the lattice's TX-side lobe is 0.47 dB below its
+    # RX-side best, so a solution moved onto it, its SNR kept, is misplaced
+    overrides = ("rx_height_m=3.5", "p_chip_w=0", "txrx_horizontal_m=37.3")
+    (low_r, low_snr), (best_r, best_snr) = oracle.brute_force_solve(
+        load_scenario(default_config_path, overrides)).lobes
+    assert (low_r, best_r) == (3.0, 34.5)
+    assert 10 * math.log10(best_snr / low_snr) > 0.1
+
+    def moved(scenario, real=optimizer.solve_placement):
+        # only the full surface's solution; the 2x2 shrink keeps its own
+        solution = real(scenario)
+        return replace(solution, r1h_opt_m=low_r) if scenario.ris_rows > 2 else solution
+
+    monkeypatch.setattr(optimizer, "solve_placement", moved)
+    argv = [arg for value in overrides for arg in ("--override", value)]
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), *argv)
+    assert code == EXIT_VALIDATION
+    kv = parse_kv(out)
+    assert float(kv["delta_r1h_m"]) == 31.5 and float(kv["delta_snr_db"]) <= 0.01
     assert kv["verdict"] == "fail"
     assert err == "FAIL: placement delta exceeds tolerance\n"
+
+
+# near the autonomy threshold only the r1h = 0 column is feasible, and the
+# lattice's A is off A* by up to half an amplitude step, several per cent
+NEAR_THRESHOLD = ("p_chip_w=0", "n_rectifiers=1")
+
+
+@pytest.mark.parametrize("p_rectifier_w, delta_snr_db", [
+    ("0.10823773128257255", 0.4576), ("0.10813057485703854", 0.1029)])
+def test_validate_snr_within_the_lattice_slack_passes(default_config_path, capsys,
+                                                      p_rectifier_w, delta_snr_db):
+    # both SNR deltas exceed 0.1 dB, but lie within the oracle's own slack
+    overrides = (*NEAR_THRESHOLD, f"p_rectifier_w={p_rectifier_w}")
+    argv = [arg for value in overrides for arg in ("--override", value)]
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), *argv)
+    assert (code, err) == (EXIT_OK, "")
+    kv = parse_kv(out)
+    assert float(kv["delta_snr_db"]) == pytest.approx(delta_snr_db, abs=1e-4)
+    lattice = oracle.brute_force_solve(load_scenario(default_config_path, overrides))
+    analytic_snr = 10.0 ** (float(kv["analytic_snr_opt_db"]) / 10.0)
+    assert abs(analytic_snr - lattice.snr_linear) <= lattice.snr_slack_linear
+    assert kv["verdict"] == "pass"
 
 
 def lattice_snr_0_2_db_high(*args, real=oracle.brute_force_solve):
@@ -439,21 +491,35 @@ def phase_search_below_floor(small, r1h_m, phase_levels, uniform_a):
     return None, 0.99 * floor * float(link.snr_cophased(r1h_m, uniform_a, small))
 
 
-# a broken oracle function and the one FAIL line that validate prints for it
+def lattice_snr_past_its_slack(*args, real=oracle.brute_force_solve):
+    # the real lattice optimum with its SNR raised by three times its slack,
+    # so it lies outside both the 0.1 dB tolerance and the slack
+    result = real(*args)
+    return replace(result, snr_linear=result.snr_linear + 3.0 * result.snr_slack_linear)
+
+
+# a broken oracle function, the one FAIL line that validate prints for it and
+# the overrides of the scene it runs on
 BROKEN_ORACLES = {
     "infeasible_lattice": ("brute_force_solve", lambda *args: oracle.OracleResult(feasible=False),
-                           "feasibility disagreement"),
-    "snr_off_0.2_db": ("brute_force_solve", lattice_snr_0_2_db_high, "SNR delta exceeds tolerance"),
+                           "feasibility disagreement", ()),
+    "snr_off_0.2_db": ("brute_force_solve", lattice_snr_0_2_db_high, "SNR delta exceeds tolerance",
+                       ()),
+    # a scene whose slack (67 % of its SNR) is far wider than the tolerance
+    "snr_past_slack": ("brute_force_solve", lattice_snr_past_its_slack,
+                       "SNR delta exceeds tolerance",
+                       (*NEAR_THRESHOLD, "p_rectifier_w=0.10823773128257255")),
     "phase_below_floor": ("exhaustive_phase_search", phase_search_below_floor,
-                          "quantized-phase check outside bounds"),
+                          "quantized-phase check outside bounds", ()),
 }
 
 
 @pytest.mark.parametrize("name", list(BROKEN_ORACLES))
 def test_validate_fails_on_a_broken_oracle(default_config_path, capsys, monkeypatch, name):
-    target, broken, failure = BROKEN_ORACLES[name]
+    target, broken, failure, overrides = BROKEN_ORACLES[name]
     monkeypatch.setattr(oracle, target, broken)
-    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path))
+    argv = [arg for value in overrides for arg in ("--override", value)]
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), *argv)
     assert code == EXIT_VALIDATION
     assert parse_kv(out)["verdict"] == "fail"
     assert err == f"FAIL: {failure}\n"

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 from dataclasses import replace
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from risharvest import geometry as geometry_module
 from risharvest import link
 from risharvest import optimizer as optimizer_module
+from risharvest.cli import sweep_rows
 from risharvest.geometry import center_distances
 from risharvest.link import ReflectionState, path_phase_rad, snr_cophased, snr_explicit
 from risharvest.optimizer import (
@@ -23,7 +25,7 @@ from risharvest.optimizer import (
     solve_placement,
 )
 from risharvest.oracle import brute_force_solve
-from risharvest.scenario import ConfigError, default_scenario
+from risharvest.scenario import SPEED_OF_LIGHT_M_S, ConfigError, default_scenario
 
 from conftest import objective
 
@@ -376,10 +378,25 @@ def test_range_corners_solve_in_bounded_points(monkeypatch, scenario):
 
 
 def stationarity(x, scenario):
-    # dG/dr1h = 3 y_s^2 / (sigma^2 r1^5 r2^5) * F(x) for the objective G
-    r1, r2 = center_distances(x, scenario)
-    radicand = 1.0 - scenario.p_ris_w / harvest_ceiling(x, scenario)
-    return (scenario.txrx_horizontal_m - x) * r1**2 * radicand - x * r2**2
+    # dG/dr1h = 3 y_s^2 / (sigma^2 r1^5 r2^5) * F(x) for the objective G.
+    # Returns F(x) and its radicand 1 - P_ris / ceiling(x) as 60-digit
+    # decimals from the scenario's fields, each read exactly, so neither
+    # cancels as the float objective does. ceiling = C y_s / r1^3 with
+    # C = eps M_s (lambda/4pi)^2 P_t G_t 4 = eps M_s P_t e_t D_t^2 / 4
+    with localcontext(Context(prec=60)):
+        f = {name: Decimal(getattr(scenario, name)) for name in (
+            "txrx_horizontal_m", "lateral_offset_m", "tx_height_m", "rx_height_m", "ris_height_m",
+            "conversion_efficiency", "transmit_power_w", "tx_efficiency", "tx_diameter_m",
+            "p_chip_w", "n_rectifiers", "p_rectifier_w", "ris_rows", "ris_cols")}
+        x, r_h, ys = Decimal(x), f["txrx_horizontal_m"], f["lateral_offset_m"]
+        r1_sq = x * x + ys * ys + (f["ris_height_m"] - f["tx_height_m"]) ** 2
+        r2_sq = (r_h - x) ** 2 + ys * ys + (f["ris_height_m"] - f["rx_height_m"]) ** 2
+        m_s = f["ris_rows"] * f["ris_cols"]
+        p_ris = m_s * f["p_chip_w"] + f["n_rectifiers"] * f["p_rectifier_w"]
+        c = (f["conversion_efficiency"] * m_s * f["transmit_power_w"] * f["tx_efficiency"]
+             * f["tx_diameter_m"] ** 2 / 4)
+        radicand = 1 - p_ris * r1_sq * r1_sq.sqrt() / (c * ys)
+        return (r_h - x) * r1_sq * radicand - x * r2_sq, radicand
 
 
 @settings(max_examples=200, deadline=None)
@@ -401,11 +418,12 @@ def stationarity(x, scenario):
 @example({"txrx_horizontal_m": 5000.0, "lateral_offset_m": 0.5, "tx_height_m": 1.0,
           "rx_height_m": 2.0, "ris_height_m": 1.5}, 0.99)
 def test_refined_placement_meets_true_optimum(geometry, share):
-    # the true optimum x* is the root of F, found by float bisection. The
-    # search must stop within the objective's rounding floor, which finer
-    # cells do not beat: its SNR within 1e-11 of the optimum's, and its
-    # placement error costing at most 1e-11 of the SNR by the curvature
-    # G''/G at x*, so a flat maximum leaves r1h free and a sharp one does not
+    # the true optimum x* is the root of F, found by a 60-digit decimal
+    # bisection. The search must stop within the objective's rounding floor,
+    # which finer cells do not beat: its SNR within 1e-11 of the optimum's,
+    # and its placement error costing at most 1e-11 of the SNR by the
+    # curvature G''/G at x*, so a flat maximum leaves r1h free and a sharp
+    # one does not
     sc = default_scenario(**geometry)
     # a Python float, as parse_number gives
     sc = with_chip_power(sc, float(share * harvest_ceiling(0.0, sc) / sc.m_s))
@@ -414,22 +432,25 @@ def test_refined_placement_meets_true_optimum(geometry, share):
     lo = max(sol.r1h_opt_m - 0.1, 0.0)
     hi = min(sol.r1h_opt_m + 0.1, sc.txrx_horizontal_m)
     # an optimum inside the bracket around the reported r1h; past r1h_f F is negative
-    assume(stationarity(lo, sc) > 0.0 > stationarity(hi, sc))
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if stationarity(mid, sc) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x_star = lo
-    best = evaluate_placement(sc, x_star)
-    assert sol.snr_opt_linear >= (1.0 - 1e-11) * best.snr_opt_linear
-    # G''/G = 3 |F'| / (r1^2 r2^2 (1 - P_ris / ceiling)) at the root of F
-    r1, r2 = center_distances(x_star, sc)
-    h = 1e-3 * r1
-    slope = (stationarity(x_star + h, sc) - stationarity(x_star - h, sc)) / (2.0 * h)
-    radicand = 1.0 - sc.p_ris_w / harvest_ceiling(x_star, sc)
-    curvature = 3.0 * abs(slope) / (r1**2 * r2**2 * radicand)
-    assert 0.5 * curvature * (sol.r1h_opt_m - x_star) ** 2 <= 1e-11
+    assume(stationarity(lo, sc)[0] > 0 > stationarity(hi, sc)[0])
+    with localcontext(Context(prec=60)):
+        lo, hi = Decimal(lo), Decimal(hi)
+        # 0.2 m halved 200 times: a bracket of 1.2e-61 m
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if stationarity(mid, sc)[0] > 0:
+                lo = mid
+            else:
+                hi = mid
+        x_star = lo
+        best = evaluate_placement(sc, float(x_star))
+        assert sol.snr_opt_linear >= (1.0 - 1e-11) * best.snr_opt_linear
+        # G''/G = 3 |F'| / (r1^2 r2^2 (1 - P_ris / ceiling)) at the root of F
+        r1, r2 = (Decimal(float(r)) for r in center_distances(float(x_star), sc))
+        h = r1 / 1000
+        slope = (stationarity(x_star + h, sc)[0] - stationarity(x_star - h, sc)[0]) / (2 * h)
+        curvature = 3 * abs(slope) / (r1**2 * r2**2 * stationarity(x_star, sc)[1])
+        assert curvature / 2 * (Decimal(sol.r1h_opt_m) - x_star) ** 2 <= Decimal("1e-11")
 
 
 def scan_maximum(scenario, points=200_001):
@@ -547,6 +568,60 @@ def test_autonomy_threshold_closed_form(geometry, n_rectifiers, rectifier_share)
     above = solve_placement(with_power(sc, n_rectifiers, p_rect, p_c_max * (1 + 1e-9)))
     assert below.feasible and below.a_opt > 0.0
     assert not above.feasible
+
+
+def p_c_max_closed_form(scenario, y_s):
+    # P_c,max(y_s) = (C y_s / (y_s^2 + dh_t^2)^(3/2) - n_rect P_rect) / M_s with
+    # C = eps M_s (lambda/4pi)^2 P_t G_t 4, read from the fields, not from link
+    lam = SPEED_OF_LIGHT_M_S / scenario.carrier_frequency_hz
+    g_t = scenario.tx_efficiency * (math.pi * scenario.tx_diameter_m / lam) ** 2
+    m_s = scenario.ris_rows * scenario.ris_cols
+    c = (scenario.conversion_efficiency * m_s * (lam / (4.0 * math.pi)) ** 2
+         * scenario.transmit_power_w * g_t * 4.0)
+    dh_t = scenario.ris_height_m - scenario.tx_height_m
+    return (c * y_s / (y_s ** 2 + dh_t ** 2) ** 1.5
+            - scenario.n_rectifiers * scenario.p_rectifier_w) / m_s
+
+
+def best_offset(scenario):
+    # y_s* = |h_s - h_t| / sqrt(2) maximizes y_s / (y_s^2 + dh_t^2)^(3/2)
+    return abs(scenario.ris_height_m - scenario.tx_height_m) / math.sqrt(2.0)
+
+
+def test_autonomy_threshold_of_the_default_scene(scenario):
+    assert p_c_max_closed_form(scenario, 5.0) == pytest.approx(4.3296e-5, rel=1e-4)
+    assert best_offset(scenario) == pytest.approx(6.364, abs=1e-3)
+    assert p_c_max_closed_form(scenario, best_offset(scenario)) == pytest.approx(4.4905e-5,
+                                                                                 rel=1e-4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(geometries, st.lists(st.floats(1.0, 40.0), min_size=1, max_size=3),
+       st.integers(1, 200), st.floats(0.0, 0.5))
+@example(DEFAULT_GEOMETRY, [5.0], 100, 0.0)
+def test_sweep_is_feasible_exactly_below_the_closed_form_threshold(geometry, offsets, n_rect,
+                                                                    rectifier_share):
+    # every row outside a 1e-9 relative band around P_c,max(y_s) is feasible
+    # exactly when P_c < P_c,max(y_s); the rectifiers draw at most half the
+    # smallest ceiling, so every threshold stays positive. No offset beats y_s*
+    sc = default_scenario(**geometry)
+    y_best = best_offset(sc)
+    assume(y_best >= 0.1)
+    offsets = [*offsets, y_best]
+    ceiling = min(p_c_max_closed_form(sc, y_s) for y_s in offsets) * sc.m_s
+    sc = replace(sc, n_rectifiers=n_rect, p_rectifier_w=rectifier_share * ceiling / n_rect)
+    thresholds = {y_s: p_c_max_closed_form(sc, y_s) for y_s in offsets}
+    assert all(thresholds[y_best] >= (1.0 - 1e-12) * t for t in thresholds.values())
+    p_c_list = [t * f for t in thresholds.values() for f in (0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7)]
+    rows = list(sweep_rows(sc, p_c_list, offsets))
+    assert len(rows) == len(p_c_list) * len(offsets)
+    for row in rows:
+        threshold = thresholds[row.y_s_m]
+        if abs(row.p_c_w - threshold) > 1e-9 * threshold:
+            assert row.feasible == (row.p_c_w < threshold), (row, threshold)
+    # so the feasible set at y_s* holds every other offset's
+    feasible_at_best = {row.p_c_w for row in rows if row.y_s_m == y_best and row.feasible}
+    assert {row.p_c_w for row in rows if row.feasible} <= feasible_at_best
 
 
 def assert_same_placement(base, moved, scenario):

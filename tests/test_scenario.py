@@ -4,12 +4,14 @@ import math
 import re
 import sys
 import warnings
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risharvest.cli import sweep_rows
 from risharvest.geometry import center_distances
 from risharvest.link import harvest_ceiling, incident_power, snr_cophased
 from risharvest.optimizer import evaluate_placement, solve_placement
@@ -339,6 +341,28 @@ def test_scenario_derived_quantities(scenario):
 def test_scenario_frozen(scenario):
     with pytest.raises(AttributeError):
         scenario.transmit_power_w = 2.0
+
+
+DERIVED = ("wavelength_m", "m_s", "tx_gain", "rx_gain", "noise_w", "chip_power_w", "p_ris_w")
+
+
+def test_derived_values_computed_once_per_scenario(monkeypatch, scenario):
+    # a solve and a sweep read the derived values on every array call, yet
+    # each Scenario computes each of them at most once
+    calls, seen = Counter(), []
+    for name in DERIVED:
+        def counted(self, name=name, fn=Scenario.__dict__[name].func):
+            seen.append(self)  # held, so no later instance reuses its id
+            calls[name, id(self)] += 1
+            return fn(self)
+        monkeypatch.setattr(Scenario.__dict__[name], "func", counted)
+    assert solve_placement(replace(scenario, p_chip_w=2e-6)).feasible
+    rows = list(sweep_rows(scenario, [1e-6, 1e-5, 1e-3], [5.0, 10.0]))
+    assert sum(row.feasible for row in rows) == 4
+    assert {name for name, _ in calls} == set(DERIVED)
+    assert max(calls.values()) == 1
+    # replace builds a new instance, whose cache starts empty
+    assert scenario.p_ris_w == 2.5e-3 and replace(scenario, p_chip_w=0.0).p_ris_w == 0.0
 
 
 # -------------------------------------------------------------- config ranges
