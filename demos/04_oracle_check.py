@@ -27,8 +27,10 @@ print("analytic  : r1h = {:.4f} m, A = {:.5f}, SNR = {:.4f} dB".format(
     analytic.r1h_opt_m, analytic.a_opt, analytic.snr_opt_db))
 print("brute     : r1h = {:.4f} m, A = {:.5f}, SNR = {:.4f} dB".format(
     lattice.r1h_m, lattice.a, 10 * math.log10(lattice.snr_linear)))
+# the placement delta is taken to the nearest column the lattice cannot rank
+# below its best, as `validate` takes it
 print("deltas    : {:.3f} m, {:.5f} dB".format(
-    abs(analytic.r1h_opt_m - lattice.r1h_m),
+    min(abs(analytic.r1h_opt_m - r) for r in lattice.tied_r1h_m),
     abs(analytic.snr_opt_db - 10 * math.log10(lattice.snr_linear))))
 print()
 

@@ -9,7 +9,7 @@ validate command. Not a production solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ _CHUNK_LATTICE_POINTS = 2 ** 20
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best lattice point and lobes found by brute_force_solve at the caller's steps."""
+    """Best lattice point of brute_force_solve and the columns tied with it."""
 
     feasible: bool
     r1h_m: float | None = None
@@ -40,26 +40,38 @@ class OracleResult:
     # first-order bound on how much the amplitude lattice can inflate SNR
     # beyond the exact-constraint value (a_step * dSNR/dA at the kept point)
     snr_slack_linear: float | None = None
-    # (r1h, SNR) of each kept column that no neighbouring column exceeds, in r1h order
-    lobes: tuple[tuple[float, float], ...] = ()
+    # r1h of the kept columns within snr_slack_linear of the best, in r1h order
+    tied_r1h_m: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
+
+
+def lattice_columns(r1h_m, scenario: Scenario, a_step: float):
+    """The lattice's rule at the placements in the array r1h_m: one is kept
+    when its harvest ceiling exceeds the consumption, the analytic solver's
+    autonomy test, and takes the amplitude a in a_step * k < 1 whose harvest
+    ceiling * (1 - a^2) lands nearest it. Returns the kept r1h and their
+    amplitudes, SNRs (one snr_cophased call at A = 1, times a^2) and harvests."""
+    a_grid = a_step * np.arange(int(round(1.0 / a_step)))
+    r1, _ = geometry.center_distances(r1h_m, scenario)
+    ceiling = link.harvest_ceiling(r1, scenario)
+    keep = ceiling > scenario.p_ris_w
+    p_harv = ceiling[keep, None] * (1.0 - a_grid ** 2)
+    picks = np.argmin(np.abs(p_harv - scenario.p_ris_w), axis=1)
+    a = a_grid[picks]
+    snr = link.snr_cophased(r1h_m[keep], 1.0, scenario) * (a * a)
+    return r1h_m[keep], a, snr, p_harv[np.arange(picks.size), picks]
 
 
 def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float = 0.001) -> OracleResult:
     """Grid search over (r1h, uniform A) with the harvest equality enforced
     numerically.
 
-    The r1h columns go in blocks of at most _CHUNK_LATTICE_POINTS lattice
-    points, one link.harvest_ceiling call each (one block at the default steps
-    up to a 523 m span). A column's uniform-amplitude harvest is its ceiling
-    times (1 - a^2); a column is kept only when its ceiling exceeds the
-    consumption, the analytic solver's autonomy test, and keeps the lattice
-    amplitude whose harvest lands nearest it; one link.snr_cophased call at
-    A = 1, times a^2, scores a block. The ceiling falls with r1h, so the kept
-    columns run from r1h = 0, and their scores form one array: its first
-    maximum wins, so ties go to the lowest r1h, and its local maxima are the
-    lobes. Steps must be positive and finite; a
-    lattice above _MAX_LATTICE_POINTS points or with fewer than two
-    amplitudes is refused before anything is allocated.
+    The r1h columns go through lattice_columns in blocks of at most
+    _CHUNK_LATTICE_POINTS lattice points (one block at the default steps up
+    to a 523 m span). The kept columns run from r1h = 0, as the ceiling falls;
+    their first maximum wins, so ties go to the lowest r1h, and every column
+    within the amplitude step's slack of it is tied with it. Steps must be
+    positive and finite; a lattice above _MAX_LATTICE_POINTS points or with
+    fewer than two amplitudes is refused before anything is allocated.
     """
     if not (0.0 < r1h_step_m < math.inf and 0.0 < a_step < math.inf):
         raise ValueError("lattice steps must be positive and finite")
@@ -69,39 +81,23 @@ def brute_force_solve(scenario: Scenario, r1h_step_m: float = 0.5, a_step: float
     n_amplitudes = int(round(1.0 / a_step))
     if n_amplitudes < 2:
         raise ValueError(f"a_step {format_value(a_step)} leaves fewer than two amplitudes in [0, 1)")
-    p_ris = scenario.p_ris_w
     n_columns = int(round(scenario.txrx_horizontal_m / r1h_step_m)) + 1
-    a_grid = a_step * np.arange(n_amplitudes)  # [0, 1)
     block = max(1, _CHUNK_LATTICE_POINTS // n_amplitudes)
-
-    blocks = []
-    for start in range(0, n_columns, block):
-        r_grid = r1h_step_m * np.arange(start, min(start + block, n_columns))
-        r1, _ = geometry.center_distances(r_grid, scenario)
-        ceiling = link.harvest_ceiling(r1, scenario)
-        keep = ceiling > p_ris
-        if not keep.any():
-            continue
-        p_harv = ceiling[keep, None] * (1.0 - a_grid ** 2)
-        picks = np.argmin(np.abs(p_harv - p_ris), axis=1)
-        a = a_grid[picks]
-        snr = link.snr_cophased(r_grid[keep], 1.0, scenario) * (a * a)
-        blocks.append((r_grid[keep], a, snr, p_harv[np.arange(picks.size), picks]))
-
-    if not blocks:
-        return OracleResult(feasible=False)
+    blocks = [lattice_columns(r1h_step_m * np.arange(start, min(start + block, n_columns)), scenario,
+                              a_step) for start in range(0, n_columns, block)]
     r, a, snr, p_harv = (np.concatenate(column) for column in zip(*blocks))
+    if not r.size:
+        return OracleResult(feasible=False)
     k = int(np.argmax(snr))
-    padded = np.concatenate(([-np.inf], snr, [-np.inf]))
-    lobes = np.flatnonzero((snr >= padded[:-2]) & (snr >= padded[2:]))
+    slack = 2.0 * float(snr[k]) * a_step / max(float(a[k]), a_step)
     return OracleResult(
         feasible=True,
         r1h_m=float(r[k]),
         a=float(a[k]),
         snr_linear=float(snr[k]),
         p_harv_w=float(p_harv[k]),
-        snr_slack_linear=2.0 * float(snr[k]) * a_step / max(float(a[k]), a_step),
-        lobes=tuple((float(r[j]), float(snr[j])) for j in lobes),
+        snr_slack_linear=slack,
+        tied_r1h_m=r[snr >= snr[k] - slack],
     )
 
 

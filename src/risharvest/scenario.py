@@ -255,9 +255,10 @@ def load_scenario(path, overrides=()) -> Scenario:
 
 
 def read_input_file(path, kind: str) -> str:
-    """A config or sites file's text; at most MAX_INPUT_CHARS + 1 characters are read."""
+    """A config or sites file's text, less a leading UTF-8 byte-order mark; at
+    most MAX_INPUT_CHARS + 1 characters are read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read(MAX_INPUT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from None

@@ -10,7 +10,10 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import risharvest
 from risharvest import cli, geometry, link, optimizer, oracle
@@ -25,6 +28,8 @@ from risharvest.cli import (
     sweep_rows,
 )
 from risharvest.scenario import KEY_RANGES, MAX_INPUT_CHARS, load_scenario
+
+from conftest import REPO_ROOT
 
 CSV_HEADER = "p_c_w,y_s_m,feasible,r1h_opt_m,a_opt,snr_opt_db,p_harv_w,p_ris_w"
 
@@ -417,8 +422,8 @@ NEAR_MIRROR = ("rx_height_m=3.0001", "p_chip_w=0", "txrx_horizontal_m=37.3")
 def test_validate_placement_delta_fails_classified(default_config_path, capsys):
     # a near-mirror scene at zero draw: the analytic search takes the lobe
     # near the RX and the 0.5 m lattice the one near the TX, whose SNRs agree
-    # within 0.01 dB. The RX-side lattice lobe at 34.0 m is within 0.1 dB of
-    # the best, so the placement is measured to it and passes
+    # within 0.01 dB. The lattice cannot rank its columns at 34.0 and 34.5 m
+    # below its best, so the placement is measured to them and passes
     argv = [arg for value in NEAR_MIRROR for arg in ("--override", value)]
     code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), *argv)
     assert (code, err) == (EXIT_OK, "")
@@ -428,33 +433,103 @@ def test_validate_placement_delta_fails_classified(default_config_path, capsys):
     assert float(kv["delta_r1h_m"]) == pytest.approx(0.2007, abs=1e-4)
     assert float(kv["delta_snr_db"]) <= 0.01
     assert kv["verdict"] == "pass"
-    lobes = oracle.brute_force_solve(load_scenario(default_config_path, NEAR_MIRROR)).lobes
-    assert [(r, round(10 * math.log10(snr), 4)) for r, snr in lobes] == [(3.0, 69.3336),
-                                                                        (34.0, 69.3324)]
+    lattice = oracle.brute_force_solve(load_scenario(default_config_path, NEAR_MIRROR))
+    assert lattice.tied_r1h_m.tolist() == [3.0, 3.5, 34.0, 34.5]
 
 
-def test_validate_solution_on_a_lower_lobe_fails(default_config_path, capsys, monkeypatch):
-    # RX 0.5 m above the TX: the lattice's TX-side lobe is 0.47 dB below its
-    # RX-side best, so a solution moved onto it, its SNR kept, is misplaced
-    overrides = ("rx_height_m=3.5", "p_chip_w=0", "txrx_horizontal_m=37.3")
-    (low_r, low_snr), (best_r, best_snr) = oracle.brute_force_solve(
-        load_scenario(default_config_path, overrides)).lobes
-    assert (low_r, best_r) == (3.0, 34.5)
-    assert 10 * math.log10(best_snr / low_snr) > 0.1
+def tx_side_peak(scenario, solution):
+    # the best 0.5 m lattice column nearer the TX than the RX, at least 0.1 dB
+    # below the best column; at zero draw every column's amplitude is the same
+    r_grid = 0.5 * np.arange(round(scenario.txrx_horizontal_m / 0.5) + 1)
+    snr = link.snr_cophased(r_grid, 1.0, scenario)
+    low = int(np.argmax(snr[r_grid < scenario.txrx_horizontal_m / 2]))
+    assert 10 * math.log10(snr.max() / snr[low]) > 0.1
+    return float(r_grid[low])
+
+
+@pytest.mark.parametrize("overrides, move, tied_r1h_m, delta_r1h_m", [
+    # RX 0.5 m above the TX: the lattice's TX-side lobe at 3.0 m is 0.47 dB
+    # below its RX-side best, so a solution moved onto it is misplaced
+    (("rx_height_m=3.5", "p_chip_w=0", "txrx_horizontal_m=37.3"), tx_side_peak, [34.5], 31.5),
+    # the default solution moved 2 m toward the RX loses 0.229 dB
+    ((), lambda scenario, solution: solution.r1h_opt_m + 2.0, [1.0],
+     pytest.approx(2.0455, abs=1e-4)),
+], ids=["lower_lobe", "default_moved_2_m"])
+def test_validate_solution_on_a_lower_lobe_fails(default_config_path, capsys, monkeypatch,
+                                                 overrides, move, tied_r1h_m, delta_r1h_m):
+    # the solution is moved, its SNR kept, away from every column the lattice
+    # cannot rank below its best
+    lattice = oracle.brute_force_solve(load_scenario(default_config_path, overrides))
+    assert lattice.tied_r1h_m.tolist() == tied_r1h_m
 
     def moved(scenario, real=optimizer.solve_placement):
         # only the full surface's solution; the 2x2 shrink keeps its own
         solution = real(scenario)
-        return replace(solution, r1h_opt_m=low_r) if scenario.ris_rows > 2 else solution
+        if scenario.ris_rows <= 2:
+            return solution
+        return replace(solution, r1h_opt_m=move(scenario, solution))
 
     monkeypatch.setattr(optimizer, "solve_placement", moved)
     argv = [arg for value in overrides for arg in ("--override", value)]
     code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), *argv)
     assert code == EXIT_VALIDATION
     kv = parse_kv(out)
-    assert float(kv["delta_r1h_m"]) == 31.5 and float(kv["delta_snr_db"]) <= 0.01
+    assert float(kv["delta_r1h_m"]) == delta_r1h_m and float(kv["delta_snr_db"]) <= 0.01
     assert kv["verdict"] == "fail"
     assert err == "FAIL: placement delta exceeds tolerance\n"
+
+
+# the ranges of the scenes validate must pass, as overrides of configs/default.cfg
+SCENE_RANGES = {
+    "lateral_offset_m": st.floats(0.5, 200.0),
+    "ris_height_m": st.floats(4.0, 60.0),
+    "tx_height_m": st.floats(0.5, 10.0),
+    "rx_height_m": st.floats(0.5, 10.0),
+    "txrx_horizontal_m": st.floats(10.0, 2000.0),
+    "ris_rows": st.integers(1, 200),
+    "ris_cols": st.integers(1, 60),
+    "transmit_power_w": st.floats(0.01, 10.0),
+}
+
+
+@st.composite
+def feasible_scenes(draw):
+    """Overrides of configs/default.cfg for a scene whose chip draws at most
+    0.99 of its autonomy threshold."""
+    overrides = [f"{key}={draw(values)!r}" for key, values in SCENE_RANGES.items()]
+    sc = load_scenario(REPO_ROOT / "configs" / "default.cfg", overrides)
+    ceiling = float(link.harvest_ceiling(geometry.center_distances(0.0, sc)[0], sc))
+    threshold = (ceiling - sc.n_rectifiers * sc.p_rectifier_w) / sc.m_s
+    return (*overrides, f"p_chip_w={draw(st.floats(0.0, 0.99)) * threshold!r}")
+
+
+# flat peaks at small draw, where the lattice's best column follows the
+# ripple of its amplitude step more than 0.5 m from the analytic optimum
+@example(("p_chip_w=1e-7", "lateral_offset_m=5", "ris_height_m=30", "rx_height_m=8"))
+@example(("p_chip_w=1e-7", "lateral_offset_m=40", "rx_height_m=8"))
+@example(("p_chip_w=1e-7", "lateral_offset_m=40"))
+@example(("lateral_offset_m=51.019", "ris_height_m=10.925", "rx_height_m=9.759",
+          "txrx_horizontal_m=107.28", "p_chip_w=1.906e-06"))
+# one-element surfaces on short spans, where the 0.5 m r1h step samples a peak
+# below its top and the lattice's rule at the analytic placement stands in for
+# its best column: a lobe about 1 m wide at the RX (delta_snr_db 0.170)...
+@example(("ris_rows=1", "ris_cols=1", "lateral_offset_m=1", "ris_height_m=4", "tx_height_m=1",
+          "rx_height_m=4", "txrx_horizontal_m=10.75", "p_chip_w=0"))
+# ...a draw that leaves only r1h < 0.5 m feasible (delta_snr_db 0.128)...
+@example(("ris_rows=1", "ris_cols=1", "lateral_offset_m=1.5", "ris_height_m=5", "tx_height_m=2.5",
+          "rx_height_m=1", "txrx_horizontal_m=10", "p_chip_w=3.9e-4"))
+# ...and two tied lobes, the analytic one sampled further from its top than
+# the lattice's best (delta_r1h_m 11.2)
+@example(("ris_rows=1", "ris_cols=1", "lateral_offset_m=0.5", "ris_height_m=4", "tx_height_m=1",
+          "rx_height_m=1", "txrx_horizontal_m=12.75", "p_chip_w=0"))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(feasible_scenes())
+def test_validate_passes_correct_solves(default_config_path, capsys, overrides):
+    argv = [arg for value in overrides for arg in ("--override", value)]
+    code, out, err = run_cli(capsys, "validate", "--config", str(default_config_path), *argv)
+    assert (code, err) == (EXIT_OK, ""), out
+    assert parse_kv(out)["verdict"] == "pass"
 
 
 # near the autonomy threshold only the r1h = 0 column is feasible, and the
@@ -921,6 +996,24 @@ def test_undecodable_input_file_named(default_config_path, sites_config_path, ca
     assert code == EXIT_CONFIG and out == ""
     assert err.startswith(f"config error: cannot read {flag[2:]} file {paths[flag]}: 'utf-8' codec ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--config", "--sites"])
+def test_input_file_with_byte_order_mark_read(default_config_path, sites_config_path, capsys,
+                                              tmp_path, flag):
+    # a UTF-8 byte-order mark, as some editors write first, is not part of line 1
+    paths = {"--config": default_config_path, "--sites": sites_config_path}
+
+    def select_site():
+        return run_cli(capsys, "select-site", "--config", str(paths["--config"]),
+                       "--sites", str(paths["--sites"]))
+
+    plain = select_site()
+    assert plain[0] == EXIT_OK
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + paths[flag].read_bytes())
+    paths[flag] = marked
+    assert select_site() == plain
 
 
 def test_sweep_memory_flat_in_row_count(default_config_path, capsys, tmp_path):

@@ -110,11 +110,14 @@ def test_infeasible_everywhere():
 def test_lattice_blocks_keep_the_pick(monkeypatch, p_chip_w, chunk):
     # blocks of one column (a bound of 1 or 999 points rounds up to one
     # 1000-amplitude column) and of four columns pick the same first best
-    # point as one whole-grid block
+    # point and tie the same columns with it as one whole-grid block; == skips
+    # the tied columns, so they are compared on their own
     scenario = with_chip_power(p_chip_w)
     whole = brute_force_solve(scenario, r1h_step_m=0.5, a_step=0.001)
     monkeypatch.setattr(oracle, "_CHUNK_LATTICE_POINTS", chunk)
-    assert brute_force_solve(scenario, r1h_step_m=0.5, a_step=0.001) == whole
+    blocked = brute_force_solve(scenario, r1h_step_m=0.5, a_step=0.001)
+    assert blocked == whole
+    assert blocked.tied_r1h_m.tolist() == whole.tied_r1h_m.tolist()
 
 
 def test_harvest_matches_constraint_within_lattice(scenario):
